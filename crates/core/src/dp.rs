@@ -399,16 +399,28 @@ impl DpExecutor for DpCluster {
 
     fn collect_fair(&mut self, n_chunks: usize) -> Result<Vec<FairPartial>, FitError> {
         let mut inner = self.inner.borrow_mut();
+        let (b, n) = (inner.b, inner.n);
         collect_partials(&mut inner, tag::FAIR, n_chunks, |r| {
             let loss = r.get_f64()?;
             let ga = r.get_f64s()?;
             let n_rows = r.get_usize()?;
-            let mut rows = Vec::with_capacity(n_rows);
+            let mut rows = Vec::with_capacity(n_rows.min(b));
             for _ in 0..n_rows {
-                let row = r.get_usize()?;
-                rows.push((row, r.get_f64s()?));
+                rows.push(r.get_usize()?);
             }
-            Ok(FairPartial { loss, rows, ga })
+            let gx = r.get_f64s()?;
+            // The coordinator folds these rows straight into ∂L/∂x̃.
+            let ascending = rows.windows(2).all(|w| w[0] < w[1]);
+            if ga.len() != n
+                || !ascending
+                || rows.last().is_some_and(|&row| row >= b)
+                || gx.len() != rows.len() * n
+            {
+                return Err(std::io::Error::other(
+                    "fairness partial does not match the batch shape",
+                ));
+            }
+            Ok(FairPartial { loss, rows, gx, ga })
         })
     }
 
@@ -745,10 +757,10 @@ fn run_worker(mut input: impl Read, mut output: impl Write) -> Result<(), String
                     pw.put_f64(part.loss);
                     pw.put_f64s(&part.ga);
                     pw.put_usize(part.rows.len());
-                    for (row, vals) in &part.rows {
-                        pw.put_usize(*row);
-                        pw.put_f64s(vals);
+                    for &row in &part.rows {
+                        pw.put_usize(row);
                     }
+                    pw.put_f64s(&part.gx);
                 }
                 write_frame(&mut output, tag::FAIR, &pw.into_bytes())
                     .map_err(io_msg("sending FAIR"))?;

@@ -47,6 +47,11 @@
 //! evaluations are sequential) holds the forward state, `∂L/∂x̃`, the
 //! per-chunk gradient accumulators and the per-chunk softmax scratch, all
 //! allocated once per objective lifetime instead of once per evaluation.
+//!
+//! A fairness pair writes only rows `i` and `j` of `∂L/∂x̃`, so each pair
+//! chunk accumulates into a compact buffer over just the rows its pairs
+//! touch. Those rows are indexed once per pair list (`FairRowIndex`, built
+//! with the objective or per mini-batch resample), never per evaluation.
 
 use crate::config::{FairnessDistance, FairnessPairs, IFairConfig, SoftmaxDistance};
 use crate::distance;
@@ -82,8 +87,8 @@ const PAR_MIN_RECORDS: usize = 128;
 const FAIR_CHUNK_PAIRS: usize = 512;
 
 /// Upper bound on the fairness chunk count, which also bounds the memory of
-/// the parallel gradient path (each chunk owns an `M·N + N` accumulator in
-/// the workspace).
+/// the parallel gradient path (each chunk owns an accumulator of `N` values
+/// per row its pairs touch, plus `N` for `∂/∂α`, in the workspace).
 const MAX_FAIR_CHUNKS: usize = 64;
 
 /// Target number of records per forward/backprop chunk (same fixed-layout
@@ -194,10 +199,108 @@ impl ChunkScratch {
 }
 
 /// Per-chunk accumulators of the fairness gradient path: `∂(μ·L_fair)/∂x̃`
-/// (`M·N` per chunk) and `∂/∂α` (`N` per chunk).
+/// over the chunk's touched rows (`N` values per row of its
+/// [`FairRowIndex`] entry, sized for the longest chunk) and `∂/∂α` (`N` per
+/// chunk).
 struct FairScratch {
     gx: ChunkScratch,
     ga: ChunkScratch,
+}
+
+/// Marks a record with no compact row in the chunk being indexed.
+const UNSLOTTED: u32 = u32::MAX;
+
+/// The `x̃` rows each fairness chunk's pairs touch, indexed once per pair
+/// list so that no evaluation sorts, scans or zero-fills all `M` rows.
+///
+/// Chunk `c` of [`fair_chunk_layout`] accumulates `∂(μ·L_fair)/∂x̃` into a
+/// compact buffer with one `N`-wide row per entry of
+/// [`FairRowIndex::chunk_rows`] (ascending, distinct), and `slots[p]` names
+/// the buffer rows that pair `p`'s `i` and `j` write. Folding a chunk adds
+/// its buffer into exactly those rows of `∂L/∂x̃`: the same additions a
+/// dense `M·N` per-chunk buffer would make there. A dense fold also adds
+/// `+0.0` to every other row, which changes nothing but a `−0.0`; see
+/// [`LossKernel::seed_g_xt`] for how that one difference is kept.
+struct FairRowIndex {
+    /// The pair chunk layout the index was built for.
+    chunks: Vec<Range<usize>>,
+    /// Every chunk's touched rows, ascending within a chunk, concatenated
+    /// in chunk order.
+    rows: Vec<usize>,
+    /// Chunk `c`'s rows are `rows[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// Per pair: the compact buffer rows of its `i` and `j`.
+    slots: Vec<[u32; 2]>,
+}
+
+impl FairRowIndex {
+    /// The index of an empty pair list.
+    fn new() -> FairRowIndex {
+        FairRowIndex {
+            chunks: Vec::new(),
+            rows: Vec::new(),
+            starts: vec![0],
+            slots: Vec::new(),
+        }
+    }
+
+    /// Indexes `pairs` over `m` records in `O(m + pairs)` plus a sort of
+    /// each chunk's distinct rows, reusing the index's buffers.
+    fn rebuild(&mut self, pairs: &[FairPair], m: usize) {
+        assert!(m < UNSLOTTED as usize, "too many records to index");
+        let FairRowIndex {
+            chunks,
+            rows,
+            starts,
+            slots,
+        } = self;
+        *chunks = fair_chunk_layout(pairs.len());
+        rows.clear();
+        starts.clear();
+        starts.push(0);
+        slots.clear();
+        slots.resize(pairs.len(), [0, 0]);
+        // Each record's compact row in the chunk being indexed, UNSLOTTED
+        // between chunks.
+        let mut slot_of = vec![UNSLOTTED; m];
+        for range in chunks.iter() {
+            let start = rows.len();
+            for pair in &pairs[range.clone()] {
+                for r in [pair.i, pair.j] {
+                    if slot_of[r] == UNSLOTTED {
+                        slot_of[r] = 0;
+                        rows.push(r);
+                    }
+                }
+            }
+            let touched = &mut rows[start..];
+            touched.sort_unstable();
+            for (slot, &r) in touched.iter().enumerate() {
+                slot_of[r] = slot as u32;
+            }
+            for (s, pair) in slots[range.clone()].iter_mut().zip(&pairs[range.clone()]) {
+                *s = [slot_of[pair.i], slot_of[pair.j]];
+            }
+            for &r in touched.iter() {
+                slot_of[r] = UNSLOTTED;
+            }
+            starts.push(rows.len());
+        }
+    }
+
+    /// The ascending rows chunk `c` touches.
+    fn chunk_rows(&self, c: usize) -> &[usize] {
+        &self.rows[self.starts[c]..self.starts[c + 1]]
+    }
+
+    /// The longest chunk row list, which sizes the compact buffers.
+    fn max_rows(&self) -> usize {
+        self.starts
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// Per-chunk accumulators and scratch of the backprop path: `∂L/∂V`
@@ -247,7 +350,8 @@ struct ForwardJob<'b> {
 }
 
 /// One fixed chunk of fairness pairs of the parallel gradient path, owning
-/// its private accumulators from the workspace.
+/// its private accumulators from the workspace (`gx` holds exactly the
+/// chunk's touched rows).
 struct FairGradJob<'b> {
     pairs: Range<usize>,
     gx: &'b mut [f64],
@@ -445,17 +549,21 @@ impl LossKernel {
 
     /// Fused `L_fair` loss + gradient: returns the raw pair sum and
     /// accumulates `∂(μ·L_fair)/∂x̃` into `g_xt` (and `∂/∂α` into `g_alpha`
-    /// under the weighted metric).
+    /// under the weighted metric). `index` must have been built for `pairs`.
     ///
-    /// On the pooled path every chunk of the fixed layout owns a private
-    /// `M·N + N` accumulator from the workspace (allocated once per
-    /// objective); the serial path reuses a single one. Partials are folded
-    /// into `g_xt` / `g_alpha` in chunk order on both paths, so the result
-    /// is bit-identical for every thread count.
+    /// Every chunk of the fixed layout accumulates into a compact buffer
+    /// over only the rows its pairs touch (`N` values per row, at most two
+    /// rows per pair, plus `N` for `∂/∂α`; allocated once per objective);
+    /// the pooled path owns one per chunk, the serial path reuses a single
+    /// one. Buffers are folded into those rows of `g_xt`,
+    /// and into `g_alpha`, in chunk order on both paths, so the result is
+    /// bit-identical for every thread count. `g_xt` must hold no `−0.0`
+    /// (see [`LossKernel::seed_g_xt`]).
     #[allow(clippy::too_many_arguments)]
     fn fair_loss_and_grad(
         &self,
         pairs: &[FairPair],
+        index: &FairRowIndex,
         alpha: &[f64],
         state: &ForwardState,
         g_xt: &mut [f64],
@@ -463,36 +571,73 @@ impl LossKernel {
         scratch: &mut FairScratch,
         pool: Option<&par::WorkerPool>,
     ) -> f64 {
-        let chunks = fair_chunk_layout(pairs.len());
+        debug_assert_eq!(index.slots.len(), pairs.len(), "stale fairness index");
+        let n = self.n;
         if pool.is_none() {
             // Serial: one reused accumulator walks the same chunk layout
             // with the same fold order as the pooled path (bit-identical),
             // at 1/chunk-count the memory.
-            let gx = &mut scratch.gx.take(1, g_xt.len())[0];
+            let gx = &mut scratch.gx.take(1, index.max_rows() * n)[0];
             let ga = &mut scratch.ga.take(1, g_alpha.len())[0];
             let mut loss = 0.0;
-            for range in chunks {
+            for (c, range) in index.chunks.iter().enumerate() {
+                let rows = index.chunk_rows(c);
+                let gx = &mut gx[..rows.len() * n];
                 gx.fill(0.0);
                 ga.fill(0.0);
-                loss += self.fair_grad_chunk(pairs, alpha, state, range, gx, ga);
-                add_assign(g_xt, gx);
+                loss +=
+                    self.fair_grad_chunk(pairs, &index.slots, alpha, state, range.clone(), gx, ga);
+                fold_rows(g_xt, n, rows, gx);
                 add_assign(g_alpha, ga);
             }
             return loss;
         }
-        let gx_bufs = scratch.gx.take(chunks.len(), g_xt.len());
-        let ga_bufs = scratch.ga.take(chunks.len(), g_alpha.len());
-        let jobs: Vec<FairGradJob<'_>> = chunks
+        let chunks = 0..index.chunks.len();
+        let losses =
+            self.fair_grad_chunks(pairs, index, chunks.clone(), alpha, state, scratch, pool);
+        let mut loss = 0.0;
+        for ((l, c), (gx, ga)) in losses
             .into_iter()
+            .zip(chunks)
+            .zip(scratch.gx.bufs.iter().zip(&scratch.ga.bufs))
+        {
+            loss += l;
+            fold_rows(g_xt, n, index.chunk_rows(c), gx);
+            add_assign(g_alpha, ga);
+        }
+        loss
+    }
+
+    /// Runs the fairness chunks `chunks` (positions in `index.chunks`) on
+    /// `pool`, chunk `chunks.start + s` into `scratch.gx.bufs[s]` (its
+    /// touched rows, then unused space) and `scratch.ga.bufs[s]`, each
+    /// zeroed first. Returns the chunks' raw losses in chunk order — the
+    /// pooled path of [`LossKernel::fair_loss_and_grad`] and a
+    /// data-parallel worker's share of a step.
+    #[allow(clippy::too_many_arguments)]
+    fn fair_grad_chunks(
+        &self,
+        pairs: &[FairPair],
+        index: &FairRowIndex,
+        chunks: Range<usize>,
+        alpha: &[f64],
+        state: &ForwardState,
+        scratch: &mut FairScratch,
+        pool: Option<&par::WorkerPool>,
+    ) -> Vec<f64> {
+        let n = self.n;
+        let gx_bufs = scratch.gx.take(chunks.len(), index.max_rows() * n);
+        let ga_bufs = scratch.ga.take(chunks.len(), n);
+        let jobs: Vec<FairGradJob<'_>> = chunks
             .zip(gx_bufs.iter_mut())
             .zip(ga_bufs.iter_mut())
-            .map(|((pair_range, gx), ga)| FairGradJob {
-                pairs: pair_range,
-                gx: gx.as_mut_slice(),
+            .map(|((c, gx), ga)| FairGradJob {
+                pairs: index.chunks[c].clone(),
+                gx: &mut gx[..index.chunk_rows(c).len() * n],
                 ga: ga.as_mut_slice(),
             })
             .collect();
-        let partials = par::pool_map(pool, jobs, |job| {
+        par::pool_map(pool, jobs, |job| {
             let FairGradJob {
                 pairs: pair_range,
                 gx,
@@ -500,23 +645,20 @@ impl LossKernel {
             } = job;
             gx.fill(0.0);
             ga.fill(0.0);
-            self.fair_grad_chunk(pairs, alpha, state, pair_range, gx, ga)
-        });
-        let mut loss = 0.0;
-        for ((l, gx), ga) in partials.into_iter().zip(gx_bufs.iter()).zip(ga_bufs.iter()) {
-            loss += l;
-            add_assign(g_xt, gx);
-            add_assign(g_alpha, ga);
-        }
-        loss
+            self.fair_grad_chunk(pairs, &index.slots, alpha, state, pair_range, gx, ga)
+        })
     }
 
     /// Serial fused loss + gradient over one contiguous chunk of the pair
-    /// list. This is the single source of truth for the per-pair math; the
-    /// pooled path is exactly this function over sub-ranges.
+    /// list, accumulating `∂(μ·L_fair)/∂x̃` for pair `p` into rows
+    /// `slots[p]` of the chunk's compact buffer `g_xt`. This is the single
+    /// source of truth for the per-pair math; the pooled and data-parallel
+    /// paths are exactly this function over sub-ranges.
+    #[allow(clippy::too_many_arguments)]
     fn fair_grad_chunk(
         &self,
         pairs: &[FairPair],
+        slots: &[[u32; 2]],
         alpha: &[f64],
         state: &ForwardState,
         range: Range<usize>,
@@ -525,7 +667,7 @@ impl LossKernel {
     ) -> f64 {
         let (n, p) = (self.n, self.p);
         let mut loss = 0.0;
-        for pair in &pairs[range] {
+        for (pair, &[si, sj]) in pairs[range.clone()].iter().zip(&slots[range]) {
             let d = self.transformed_distance(alpha, state, pair.i, pair.j);
             let e = d - pair.target;
             loss += e * e;
@@ -533,24 +675,30 @@ impl LossKernel {
             if coeff == 0.0 || d <= 0.0 {
                 continue;
             }
-            let (ri, rj) = (pair.i * n, pair.j * n);
+            // A pair joins two distinct records, so its buffer rows are
+            // distinct. Slicing every row to length `n` up front lets the
+            // compiler drop the bounds checks and vectorize; each element
+            // still sees the same operations in the same order.
+            let xi = &state.xt[pair.i * n..(pair.i + 1) * n];
+            let xj = &state.xt[pair.j * n..(pair.j + 1) * n];
+            let (gi, gj) = two_rows_mut(g_xt, si as usize, sj as usize, n);
             match self.fairness_distance {
                 FairnessDistance::Unweighted => {
                     for idx in 0..n {
-                        let delta = state.xt[ri + idx] - state.xt[rj + idx];
+                        let delta = xi[idx] - xj[idx];
                         let g = coeff * delta / d;
-                        g_xt[ri + idx] += g;
-                        g_xt[rj + idx] -= g;
+                        gi[idx] += g;
+                        gj[idx] -= g;
                     }
                 }
                 FairnessDistance::Weighted => {
+                    let (alpha, g_alpha) = (&alpha[..n], &mut g_alpha[..n]);
                     for idx in 0..n {
-                        let a = state.xt[ri + idx];
-                        let b = state.xt[rj + idx];
+                        let (a, b) = (xi[idx], xj[idx]);
                         // ∂d/∂a = -d_wrt_second(a, b) by symmetry of Δ.
                         let g = -coeff * distance::d_wrt_second(a, b, alpha[idx], p, d);
-                        g_xt[ri + idx] += g;
-                        g_xt[rj + idx] -= g;
+                        gi[idx] += g;
+                        gj[idx] -= g;
                         if alpha[idx] >= 0.0 {
                             g_alpha[idx] += coeff * distance::d_wrt_alpha(a, b, p, d);
                         }
@@ -559,6 +707,33 @@ impl LossKernel {
             }
         }
         loss
+    }
+
+    /// Seeds `∂L/∂x̃` with the reconstruction term `2λ(x̃ − x)` (zeros when
+    /// `λ = 0`) and returns the raw utility sum `Σ (x − x̃)²`, through the
+    /// same lane-chunked kernel as the gradient-free `loss` path so the two
+    /// entry points agree bitwise.
+    ///
+    /// `canonical` (set when a fairness fold follows, i.e. `μ ≠ 0` and the
+    /// pair list is non-empty) also turns every `−0.0` of the seed into
+    /// `+0.0`. The fold adds each chunk's buffer into its touched rows
+    /// only, where a dense per-chunk `M·N` fold also added `+0.0` to every
+    /// other row; that addition is an identity on every value but `−0.0`,
+    /// and the first chunk's fold had already applied it everywhere. Doing
+    /// it here once, in the loop that writes the seed anyway, keeps the
+    /// gradient bit-identical to the dense fold at no extra pass.
+    fn seed_g_xt(&self, x: &[f64], xt: &[f64], g_xt: &mut [f64], canonical: bool) -> f64 {
+        if self.lambda == 0.0 {
+            g_xt.fill(0.0);
+            return 0.0;
+        }
+        // `v + (−0.0)` is `v` for every `v`; `v + 0.0` is `v` except that
+        // `−0.0` becomes `+0.0`.
+        let zero = if canonical { 0.0 } else { -0.0 };
+        for ((g, &orig), &rec) in g_xt.iter_mut().zip(x).zip(xt) {
+            *g = 2.0 * self.lambda * (rec - orig) + zero;
+        }
+        ifair_linalg::lanes::sq_euclidean(x, xt)
     }
 
     /// Backprop through `x̃ = U·V` and the softmax into `V`, `D`, and `α`,
@@ -733,11 +908,13 @@ impl LossKernel {
 
     /// The fused loss + analytic gradient at `theta` over `(x, pairs)`,
     /// through the workspace — the whole backward pass both objectives run.
+    /// `index` must have been built for `pairs`.
     #[allow(clippy::too_many_arguments)]
     fn value_and_gradient_into(
         &self,
         x: &Matrix,
         pairs: &[FairPair],
+        index: &FairRowIndex,
         theta: &[f64],
         grad: &mut [f64],
         ws: &mut Workspace,
@@ -750,20 +927,10 @@ impl LossKernel {
 
         grad.fill(0.0);
 
-        // ∂L/∂x̃ — reconstruction term. The utility sum goes through the
-        // same lane-chunked kernel as the gradient-free `loss` path so the
-        // two entry points agree bitwise; the element loop then only writes
-        // the gradient. The buffer is reused across evaluations, so it must
-        // be fully written (the loop overwrites every entry) or zeroed.
-        let util = if self.lambda != 0.0 {
-            for ((g, &orig), &rec) in ws.g_xt.iter_mut().zip(x.as_slice()).zip(&ws.state.xt) {
-                *g = 2.0 * self.lambda * (rec - orig);
-            }
-            ifair_linalg::lanes::sq_euclidean(x.as_slice(), ws.state.xt.as_slice())
-        } else {
-            ws.g_xt.fill(0.0);
-            0.0
-        };
+        // ∂L/∂x̃ — reconstruction term. The buffer is reused across
+        // evaluations; the seed overwrites every entry.
+        let fair_folds = self.mu != 0.0 && !pairs.is_empty();
+        let util = self.seed_g_xt(x.as_slice(), &ws.state.xt, &mut ws.g_xt, fair_folds);
 
         // ∂L/∂x̃ (and ∂L/∂α under the weighted metric) — fairness pairs,
         // fused with the pair loss and parallelized over pair chunks.
@@ -771,6 +938,7 @@ impl LossKernel {
             let (g_alpha, _) = grad.split_at_mut(n);
             self.fair_loss_and_grad(
                 pairs,
+                index,
                 alpha,
                 &ws.state,
                 &mut ws.g_xt,
@@ -826,6 +994,8 @@ pub struct IFairObjective<'a> {
     m: usize,
     kern: LossKernel,
     pairs: Vec<FairPair>,
+    /// The rows each fairness chunk of `pairs` touches.
+    index: FairRowIndex,
     pool: LazyPool,
     workspace: Mutex<Workspace>,
 }
@@ -852,12 +1022,15 @@ impl<'a> IFairObjective<'a> {
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1fa1_9a17);
         let pool = LazyPool::new(par::resolve_threads(config.n_threads));
         let pairs = build_pairs(x, &nonprotected, config.fairness_pairs, m, &mut rng, &pool);
+        let mut index = FairRowIndex::new();
+        index.rebuild(&pairs, m);
         let workspace = Mutex::new(Workspace::new(m, n, config.k));
         IFairObjective {
             x,
             m,
             kern: LossKernel::from_config(n, config),
             pairs,
+            index,
             pool,
             workspace,
         }
@@ -941,6 +1114,7 @@ impl Objective for IFairObjective<'_> {
         self.kern.value_and_gradient_into(
             self.x,
             &self.pairs,
+            &self.index,
             theta,
             grad,
             &mut guard,
@@ -958,12 +1132,17 @@ struct BatchState {
     x: Matrix,
     /// Fairness pairs whose indices point *into the batch* (`0..B`).
     pairs: Vec<FairPair>,
+    /// The rows each fairness chunk of `pairs` touches, rebuilt with them.
+    index: FairRowIndex,
     /// Source indices of the current batch, ascending.
     indices: Vec<usize>,
     /// Evaluation scratch, sized for the batch once and reused every step.
     workspace: Workspace,
     /// Persistent permutation for dense record draws (`B > M/2`).
     perm: Vec<usize>,
+    /// `M`-bit set of the records drawn so far by a sparse record draw
+    /// (`2B < M`); all clear between draws.
+    drawn: Vec<u64>,
     /// Persistent enumeration of all `B(B−1)/2` batch pairs for dense pair
     /// draws, built once and re-shuffled in place (like `perm`).
     all_pairs: Vec<FairPair>,
@@ -1042,9 +1221,11 @@ impl MiniBatchObjective {
             batch: Mutex::new(BatchState {
                 x: Matrix::zeros(b, n),
                 pairs: Vec::new(),
+                index: FairRowIndex::new(),
                 indices: Vec::new(),
                 workspace: Workspace::new(b, n, config.k),
                 perm: Vec::new(),
+                drawn: Vec::new(),
                 all_pairs: Vec::new(),
             }),
         }
@@ -1156,7 +1337,8 @@ impl MiniBatchObjective {
 
         // Distinct record indices: dense draws shuffle a persistent
         // permutation (a Fisher-Yates prefix is uniform from any starting
-        // arrangement), sparse draws reject duplicates.
+        // arrangement), sparse draws reject duplicates against a persistent
+        // bit set, cleared again through the drawn indices.
         state.indices.clear();
         if b >= m {
             state.indices.extend(0..m);
@@ -1170,12 +1352,17 @@ impl MiniBatchObjective {
             }
             state.indices.extend_from_slice(&state.perm[..b]);
         } else {
-            let mut seen = std::collections::HashSet::with_capacity(b);
+            state.drawn.resize(m.div_ceil(64), 0);
             while state.indices.len() < b {
                 let i = rng.gen_range(0..m);
-                if seen.insert(i) {
+                let (word, bit) = (&mut state.drawn[i / 64], 1u64 << (i % 64));
+                if *word & bit == 0 {
+                    *word |= bit;
                     state.indices.push(i);
                 }
+            }
+            for &i in &state.indices {
+                state.drawn[i / 64] = 0;
             }
         }
         state.indices.sort_unstable();
@@ -1233,6 +1420,7 @@ impl MiniBatchObjective {
         for pair in &mut state.pairs {
             pair.target = masked_target(&state.x, &self.nonprotected, pair.i, pair.j);
         }
+        state.index.rebuild(&state.pairs, b);
         Ok(())
     }
 
@@ -1286,6 +1474,7 @@ impl Objective for MiniBatchObjective {
         self.kern.value_and_gradient_into(
             &state.x,
             &state.pairs,
+            &state.index,
             theta,
             grad,
             &mut state.workspace,
@@ -1304,24 +1493,27 @@ impl Objective for MiniBatchObjective {
 // use. Every worker recomputes the full forward pass locally (per-record and
 // fold-free, hence bit-identical to the coordinator's), evaluates only the
 // fairness / backprop chunks it owns with the same chunk kernels, and ships
-// per-chunk partials back; the coordinator folds them in global chunk order.
-// The summation tree is therefore exactly the serial single-buffer fold —
-// the fit is bit-identical for every worker count and every thread count
-// inside the workers, by the same argument that covers the thread pools.
+// per-chunk partials back (a fairness partial is the chunk's compact
+// buffer over its touched rows); the coordinator folds them in global chunk
+// order. The summation tree is therefore exactly the serial fold — the fit
+// is bit-identical for every worker count and every thread count inside the
+// workers, by the same argument that covers the thread pools.
 
 /// One fairness chunk's gradient contribution, as shipped from a
-/// data-parallel worker to the coordinator.
+/// data-parallel worker to the coordinator: the chunk's compact buffer,
+/// exactly as the in-process path folds it.
 ///
-/// `rows` carries only the `∂(μ·L_fair)/∂x̃` rows the chunk's pairs touch
-/// (each pair writes rows `i` and `j` and nothing else), ascending; the
-/// coordinator scatters them into a zeroed `B·N` buffer before folding,
-/// reproducing the serial path's per-chunk accumulator bit for bit at a
-/// transport cost proportional to the chunk's pair count instead of `B·N`.
+/// `rows` names the `∂(μ·L_fair)/∂x̃` rows the chunk's pairs touch (each
+/// pair writes rows `i` and `j` and nothing else), ascending, and `gx`
+/// holds their `N` values each, so the transport cost is proportional to
+/// the chunk's pair count instead of `B·N`.
 pub(crate) struct FairPartial {
     /// Raw `L_fair` pair sum of the chunk (no `μ` factor).
     pub(crate) loss: f64,
-    /// Touched `∂(μ·L_fair)/∂x̃` rows: `(batch row, N values)`, ascending.
-    pub(crate) rows: Vec<(usize, Vec<f64>)>,
+    /// Batch rows the chunk touches, ascending.
+    pub(crate) rows: Vec<usize>,
+    /// `rows.len() · N` gradient values, row `k` belonging to `rows[k]`.
+    pub(crate) gx: Vec<f64>,
     /// The chunk's `N`-length `∂/∂α` accumulator (all zeros under the
     /// unweighted metric, exactly like the in-process chunk buffer).
     pub(crate) ga: Vec<f64>,
@@ -1382,15 +1574,6 @@ pub(crate) fn worker_row_band(b: usize, worker: usize, workers: usize) -> Range<
     }
 }
 
-/// The sorted, deduplicated batch rows a pair slice touches — exactly the
-/// `∂/∂x̃` rows its chunk accumulator can hold nonzero values in.
-fn touched_rows(pairs: &[FairPair]) -> Vec<usize> {
-    let mut rows: Vec<usize> = pairs.iter().flat_map(|p| [p.i, p.j]).collect();
-    rows.sort_unstable();
-    rows.dedup();
-    rows
-}
-
 impl MiniBatchObjective {
     /// The fused loss + gradient of the current batch with the fairness and
     /// backprop chunk sweeps delegated to data-parallel workers through
@@ -1430,55 +1613,30 @@ impl MiniBatchObjective {
         exec.start_step(theta, &state.x, &state.pairs)?;
 
         let Workspace {
-            state: fwd,
-            g_xt,
-            fair,
-            ..
+            state: fwd, g_xt, ..
         } = &mut state.workspace;
         kern.forward_into(&state.x, alpha, v, fwd, rec_pool);
 
         grad.fill(0.0);
 
-        // Utility term and the ∂L/∂x̃ seed — same code as the in-process
-        // path, element for element.
-        let util = if kern.lambda != 0.0 {
-            for ((g, &orig), &rec) in g_xt.iter_mut().zip(state.x.as_slice()).zip(&fwd.xt) {
-                *g = 2.0 * kern.lambda * (rec - orig);
-            }
-            ifair_linalg::lanes::sq_euclidean(state.x.as_slice(), fwd.xt.as_slice())
-        } else {
-            g_xt.fill(0.0);
-            0.0
-        };
-
-        // Fairness term: fold the workers' per-chunk partials in global
-        // chunk order. Scattering a chunk's sparse rows into a zeroed B·N
-        // buffer and folding the whole buffer reproduces the serial path's
-        // per-chunk accumulator (untouched rows contribute the same +0.0)
-        // bit for bit.
+        // Utility term and the ∂L/∂x̃ seed — the in-process path's code.
         let fair_chunks = if kern.mu != 0.0 {
             fair_chunk_layout(state.pairs.len()).len()
         } else {
             0
         };
+        let util = kern.seed_g_xt(state.x.as_slice(), &fwd.xt, g_xt, fair_chunks > 0);
+
+        // Fairness term: fold the workers' per-chunk buffers into their
+        // touched rows in global chunk order — the in-process fold.
         let partials = exec.collect_fair(fair_chunks)?;
-        let fair_sum = if kern.mu != 0.0 {
-            let (g_alpha, _) = grad.split_at_mut(n);
-            let gx = &mut fair.gx.take(1, g_xt.len())[0];
-            let mut loss = 0.0;
-            for part in &partials {
-                gx.fill(0.0);
-                for (row, vals) in &part.rows {
-                    gx[row * n..(row + 1) * n].copy_from_slice(vals);
-                }
-                loss += part.loss;
-                fold::add_assign(g_xt, gx);
-                fold::add_assign(g_alpha, &part.ga);
-            }
-            loss
-        } else {
-            0.0
-        };
+        let (g_alpha, _) = grad.split_at_mut(n);
+        let mut fair_sum = 0.0;
+        for part in &partials {
+            fair_sum += part.loss;
+            fold_rows(g_xt, n, &part.rows, &part.gx);
+            fold::add_assign(g_alpha, &part.ga);
+        }
         let loss = kern.lambda * util + kern.mu * fair_sum;
 
         // Backprop is sharded over the fixed record chunks; each worker
@@ -1505,6 +1663,8 @@ pub(crate) struct DpWorkerKernel {
     kern: LossKernel,
     pool: LazyPool,
     ws: Workspace,
+    /// The rows each fairness chunk of the current step's pairs touches.
+    index: FairRowIndex,
     /// Batch size `B` (already clamped by the coordinator).
     b: usize,
     /// This worker's index in the fleet, fixing chunk ownership.
@@ -1527,6 +1687,7 @@ impl DpWorkerKernel {
             kern: LossKernel::from_config(n, config),
             pool: LazyPool::new(par::resolve_threads(config.n_threads)),
             ws: Workspace::new(batch_records, n, config.k),
+            index: FairRowIndex::new(),
             b: batch_records,
             worker,
             workers,
@@ -1534,10 +1695,11 @@ impl DpWorkerKernel {
     }
 
     /// One EVAL step: full local forward pass over the broadcast batch,
-    /// then this worker's owned fairness chunks. Returns the per-chunk
-    /// partials paired with their *global* chunk indices, ascending (empty
-    /// when `μ = 0` or the worker owns no chunks — the forward state is
-    /// updated regardless, since the backprop step needs it).
+    /// then this worker's owned fairness chunks, indexed once for the
+    /// step's pair list. Returns the per-chunk partials paired with their
+    /// *global* chunk indices, ascending (empty when `μ = 0` or the worker
+    /// owns no chunks — the forward state is updated regardless, since the
+    /// backprop step needs it).
     pub(crate) fn eval_step(
         &mut self,
         x: &Matrix,
@@ -1548,6 +1710,7 @@ impl DpWorkerKernel {
             kern,
             pool,
             ws,
+            index,
             b,
             worker,
             workers,
@@ -1564,54 +1727,27 @@ impl DpWorkerKernel {
         if kern.mu == 0.0 {
             return Vec::new();
         }
-        let layout = fair_chunk_layout(pairs.len());
-        let owned = owned_chunks(layout.len(), *worker, *workers);
+        index.rebuild(pairs, *b);
+        let owned = owned_chunks(index.chunks.len(), *worker, *workers);
         let fair_pool = if pairs.len() >= PAR_MIN_PAIRS {
             pool.get()
         } else {
             None
         };
-        let gx_bufs = fair.gx.take(owned.len(), *b * n);
-        let ga_bufs = fair.ga.take(owned.len(), n);
-        let jobs: Vec<FairGradJob<'_>> = owned
-            .clone()
-            .map(|chunk| layout[chunk].clone())
-            .zip(gx_bufs.iter_mut())
-            .zip(ga_bufs.iter_mut())
-            .map(|((pair_range, gx), ga)| FairGradJob {
-                pairs: pair_range,
-                gx: gx.as_mut_slice(),
-                ga: ga.as_mut_slice(),
-            })
-            .collect();
-        let state: &ForwardState = state;
-        let losses = par::pool_map(fair_pool, jobs, |job| {
-            let FairGradJob {
-                pairs: pair_range,
-                gx,
-                ga,
-            } = job;
-            gx.fill(0.0);
-            ga.fill(0.0);
-            kern.fair_grad_chunk(pairs, alpha, state, pair_range, gx, ga)
-        });
+        let losses =
+            kern.fair_grad_chunks(pairs, index, owned.clone(), alpha, state, fair, fair_pool);
         owned
-            .clone()
-            .enumerate()
-            .map(|(slot, chunk)| {
-                let gx = &gx_bufs[slot];
-                let rows = touched_rows(&pairs[layout[chunk].clone()])
-                    .into_iter()
-                    .map(|r| (r, gx[r * n..(r + 1) * n].to_vec()))
-                    .collect();
-                (
-                    chunk,
-                    FairPartial {
-                        loss: losses[slot],
-                        rows,
-                        ga: ga_bufs[slot].clone(),
-                    },
-                )
+            .zip(losses)
+            .zip(fair.gx.bufs.iter().zip(&fair.ga.bufs))
+            .map(|((chunk, loss), (gx, ga))| {
+                let rows = index.chunk_rows(chunk);
+                let partial = FairPartial {
+                    loss,
+                    rows: rows.to_vec(),
+                    gx: gx[..rows.len() * n].to_vec(),
+                    ga: ga.clone(),
+                };
+                (chunk, partial)
             })
             .collect()
     }
@@ -1635,6 +1771,7 @@ impl DpWorkerKernel {
             b,
             worker,
             workers,
+            ..
         } = self;
         let (alpha, v) = kern.unpack(theta);
         let (n, k) = (kern.n, kern.k);
@@ -1734,6 +1871,27 @@ fn add_assign(acc: &mut [f64], part: &[f64]) {
     debug_assert_eq!(acc.len(), part.len());
     for (a, &p) in acc.iter_mut().zip(part) {
         *a += p;
+    }
+}
+
+/// Rows `a` and `b` of an `n`-wide row-major buffer, as two disjoint
+/// mutable slices. Panics if `a == b`.
+fn two_rows_mut(buf: &mut [f64], a: usize, b: usize, n: usize) -> (&mut [f64], &mut [f64]) {
+    if a < b {
+        let (lo, hi) = buf.split_at_mut(b * n);
+        (&mut lo[a * n..(a + 1) * n], &mut hi[..n])
+    } else {
+        let (lo, hi) = buf.split_at_mut(a * n);
+        (&mut hi[..n], &mut lo[b * n..(b + 1) * n])
+    }
+}
+
+/// Folds a fairness chunk's compact buffer into `∂L/∂x̃`: its `k`-th
+/// `n`-wide row is added into row `rows[k]` of `g_xt`. Buffer rows past
+/// `rows.len()` are ignored.
+fn fold_rows(g_xt: &mut [f64], n: usize, rows: &[usize], compact: &[f64]) {
+    for (&r, part) in rows.iter().zip(compact.chunks_exact(n)) {
+        add_assign(&mut g_xt[r * n..(r + 1) * n], part);
     }
 }
 
@@ -2312,5 +2470,433 @@ mod tests {
         let first_bits: Vec<u64> = first.iter().map(|g| g.to_bits()).collect();
         let second_bits: Vec<u64> = second.iter().map(|g| g.to_bits()).collect();
         assert_eq!(first_bits, second_bits);
+    }
+
+    #[test]
+    fn sparse_record_draws_match_a_hash_set_reference() {
+        // (M, B, seed) with 2B < M: the sparse record draw. No pairs, so
+        // the record draws are the sampler's only RNG use.
+        for (m, b, seed) in [
+            (1_000, 10, 1),
+            (1_000, 499, 2),
+            (130, 64, 3),
+            (4_096, 64, 4),
+            (100_003, 2_048, 5),
+        ] {
+            let mut x = Matrix::zeros(m, 1);
+            let cfg = IFairConfig {
+                strategy: FitStrategy::MiniBatch {
+                    batch_records: b,
+                    pairs_per_batch: 0,
+                    epochs: 1,
+                    learning_rate: 0.05,
+                },
+                ..config(2)
+            };
+            let mut obj = MiniBatchObjective::new(m, &[false], &cfg);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            for step in 0..4 {
+                obj.resample(&mut x, &mut rng).unwrap();
+                let mut seen = std::collections::HashSet::new();
+                let mut want = Vec::with_capacity(b);
+                while want.len() < b {
+                    let i = reference_rng.gen_range(0..m);
+                    if seen.insert(i) {
+                        want.push(i);
+                    }
+                }
+                want.sort_unstable();
+                assert_eq!(obj.batch_indices(), want, "M={m} B={b} step {step}");
+            }
+        }
+    }
+
+    /// Bits of one evaluation: the loss, `∂L/∂x̃` after the fairness fold,
+    /// and the full gradient (`∂L/∂α` first).
+    #[derive(Debug, PartialEq)]
+    struct EvalBits {
+        loss: u64,
+        g_xt: Vec<u64>,
+        grad: Vec<u64>,
+    }
+
+    fn eval_bits(loss: f64, g_xt: &[f64], grad: &[f64]) -> EvalBits {
+        let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect();
+        EvalBits {
+            loss: loss.to_bits(),
+            g_xt: bits(g_xt),
+            grad: bits(grad),
+        }
+    }
+
+    /// The evaluation with the dense fold the compact one replaced: the
+    /// seed without the `+0.0`, then per chunk a zeroed `M·N` buffer that
+    /// the chunk's pairs write at their own rows, folded whole into `g_xt`.
+    fn dense_reference(
+        kern: &LossKernel,
+        x: &Matrix,
+        pairs: &[FairPair],
+        theta: &[f64],
+    ) -> EvalBits {
+        let (m, n) = x.shape();
+        let (alpha, v) = kern.unpack(theta);
+        let mut ws = Workspace::new(m, n, kern.k);
+        kern.forward_into(x, alpha, v, &mut ws.state, None);
+        let mut grad = vec![0.0; kern.dim()];
+        let util = if kern.lambda != 0.0 {
+            for ((g, &orig), &rec) in ws.g_xt.iter_mut().zip(x.as_slice()).zip(&ws.state.xt) {
+                *g = 2.0 * kern.lambda * (rec - orig);
+            }
+            ifair_linalg::lanes::sq_euclidean(x.as_slice(), &ws.state.xt)
+        } else {
+            ws.g_xt.fill(0.0);
+            0.0
+        };
+        let mut fair = 0.0;
+        if kern.mu != 0.0 {
+            let own_rows: Vec<[u32; 2]> = pairs.iter().map(|p| [p.i as u32, p.j as u32]).collect();
+            let mut gx = vec![0.0; m * n];
+            let mut ga = vec![0.0; n];
+            for range in fair_chunk_layout(pairs.len()) {
+                gx.fill(0.0);
+                ga.fill(0.0);
+                fair += kern
+                    .fair_grad_chunk(pairs, &own_rows, alpha, &ws.state, range, &mut gx, &mut ga);
+                add_assign(&mut ws.g_xt, &gx);
+                add_assign(&mut grad[..n], &ga);
+            }
+        }
+        let loss = kern.lambda * util + kern.mu * fair;
+        kern.backprop_into(
+            x,
+            alpha,
+            v,
+            &ws.state,
+            &ws.g_xt,
+            &mut grad,
+            &mut ws.back,
+            None,
+        );
+        eval_bits(loss, &ws.g_xt, &grad)
+    }
+
+    /// The in-process evaluation (serial without a pool), with `index`
+    /// rebuilt for this pair list.
+    fn compact_evaluation(
+        kern: &LossKernel,
+        x: &Matrix,
+        pairs: &[FairPair],
+        theta: &[f64],
+        index: &mut FairRowIndex,
+        pool: Option<&par::WorkerPool>,
+    ) -> EvalBits {
+        let (m, n) = x.shape();
+        index.rebuild(pairs, m);
+        let mut ws = Workspace::new(m, n, kern.k);
+        let mut grad = vec![0.0; kern.dim()];
+        let loss =
+            kern.value_and_gradient_into(x, pairs, index, theta, &mut grad, &mut ws, pool, pool);
+        eval_bits(loss, &ws.g_xt, &grad)
+    }
+
+    /// An in-process stand-in for the worker fleet: [`DpWorkerKernel`]s
+    /// driven directly, in fleet order.
+    struct FakeFleet {
+        workers: Vec<DpWorkerKernel>,
+        step: Option<(Vec<f64>, Matrix)>,
+        fair: Vec<(usize, FairPartial)>,
+        back: Vec<(usize, BackPartial)>,
+    }
+
+    fn in_chunk_order<T>(parts: Vec<(usize, T)>, n_chunks: usize) -> Vec<T> {
+        assert!(
+            parts.iter().map(|(c, _)| *c).eq(0..n_chunks),
+            "global chunk order"
+        );
+        parts.into_iter().map(|(_, part)| part).collect()
+    }
+
+    impl DpExecutor for FakeFleet {
+        fn start_step(
+            &mut self,
+            theta: &[f64],
+            x: &Matrix,
+            pairs: &[FairPair],
+        ) -> Result<(), FitError> {
+            self.fair = self
+                .workers
+                .iter_mut()
+                .flat_map(|w| w.eval_step(x, pairs, theta))
+                .collect();
+            self.step = Some((theta.to_vec(), x.clone()));
+            Ok(())
+        }
+
+        fn collect_fair(&mut self, n_chunks: usize) -> Result<Vec<FairPartial>, FitError> {
+            Ok(in_chunk_order(std::mem::take(&mut self.fair), n_chunks))
+        }
+
+        fn start_back(&mut self, g_xt: &[f64]) -> Result<(), FitError> {
+            let FakeFleet {
+                workers,
+                step,
+                back,
+                ..
+            } = self;
+            let (theta, x) = step.as_ref().expect("a step is running");
+            let (b, n) = x.shape();
+            let count = workers.len();
+            *back = workers
+                .iter_mut()
+                .enumerate()
+                .flat_map(|(w, kernel)| {
+                    let band = worker_row_band(b, w, count);
+                    kernel.back_step(x, theta, &g_xt[band.start * n..band.end * n])
+                })
+                .collect();
+            Ok(())
+        }
+
+        fn collect_back(&mut self, n_chunks: usize) -> Result<Vec<BackPartial>, FitError> {
+            Ok(in_chunk_order(std::mem::take(&mut self.back), n_chunks))
+        }
+    }
+
+    /// The data-parallel evaluation over a fleet of `workers` fake workers.
+    fn fleet_evaluation(
+        cfg: &IFairConfig,
+        x: &Matrix,
+        pairs: &[FairPair],
+        theta: &[f64],
+        workers: usize,
+    ) -> EvalBits {
+        let (b, n) = x.shape();
+        let cfg = IFairConfig {
+            strategy: FitStrategy::MiniBatch {
+                batch_records: b,
+                pairs_per_batch: pairs.len(),
+                epochs: 1,
+                learning_rate: 0.05,
+            },
+            ..cfg.clone()
+        };
+        let mut obj = MiniBatchObjective::new(b, &vec![false; n], &cfg);
+        let state = obj.batch.get_mut().unwrap();
+        state.x = x.clone();
+        state.pairs = pairs.to_vec();
+        let mut fleet = FakeFleet {
+            workers: (0..workers)
+                .map(|w| DpWorkerKernel::new(n, b, w, workers, &cfg))
+                .collect(),
+            step: None,
+            fair: Vec::new(),
+            back: Vec::new(),
+        };
+        let mut grad = vec![0.0; obj.dim()];
+        let loss = obj
+            .value_and_gradient_dp(theta, &mut grad, &mut fleet)
+            .unwrap();
+        let state = obj.batch.get_mut().unwrap();
+        eval_bits(loss, &state.workspace.g_xt, &grad)
+    }
+
+    /// Distinct random pairs over `0..m`, `(i, j)`-sorted like a resampled
+    /// mini-batch's, with targets on the first `n − 1` columns.
+    fn sorted_random_pairs(x: &Matrix, count: usize, seed: u64) -> Vec<FairPair> {
+        let m = x.rows();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut seen = std::collections::HashSet::new();
+        while seen.len() < count {
+            let (i, j) = (rng.gen_range(0..m), rng.gen_range(0..m));
+            if i != j {
+                seen.insert((i.min(j), i.max(j)));
+            }
+        }
+        let mut keys: Vec<(usize, usize)> = seen.into_iter().collect();
+        keys.sort_unstable();
+        let nonprotected: Vec<usize> = (0..x.cols() - 1).collect();
+        keys.into_iter()
+            .map(|(i, j)| FairPair {
+                i,
+                j,
+                target: masked_target(x, &nonprotected, i, j),
+            })
+            .collect()
+    }
+
+    fn random_matrix(m: usize, n: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = (0..m)
+            .map(|_| (0..n).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        Matrix::from_rows(rows).unwrap()
+    }
+
+    /// Whether the dense seed `2λ(x̃ − x)` holds a `−0.0` at `theta` in a
+    /// row no pair touches (where no chunk's fold adds anything real).
+    fn untouched_negative_zero(
+        kern: &LossKernel,
+        x: &Matrix,
+        pairs: &[FairPair],
+        theta: &[f64],
+    ) -> bool {
+        let (alpha, v) = kern.unpack(theta);
+        let mut state = ForwardState::new(x.rows(), kern.n, kern.k);
+        kern.forward_into(x, alpha, v, &mut state, None);
+        let touched: std::collections::HashSet<usize> =
+            pairs.iter().flat_map(|p| [p.i, p.j]).collect();
+        let n = kern.n;
+        (0..x.rows()).filter(|r| !touched.contains(r)).any(|r| {
+            let span = r * n..(r + 1) * n;
+            x.as_slice()[span.clone()]
+                .iter()
+                .zip(&state.xt[span])
+                .any(|(&orig, &rec)| {
+                    (2.0 * kern.lambda * (rec - orig)).to_bits() == (-0.0f64).to_bits()
+                })
+        })
+    }
+
+    #[test]
+    fn compact_fairness_fold_is_bit_identical_to_the_dense_fold() {
+        let n = 5;
+        let nonprotected: Vec<usize> = (0..n - 1).collect();
+        let serial = LazyPool::new(1);
+        let build = |x: &Matrix, spec: FairnessPairs, seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            build_pairs(x, &nonprotected, spec, x.rows(), &mut rng, &serial)
+        };
+        // The smallest positive λ: 2λ·(x̃ − x) underflows to −0.0 wherever
+        // x̃ < x, so the seed is full of negative zeros.
+        let tiny = f64::from_bits(1);
+        let x300 = random_matrix(300, n, 1);
+        let x70 = random_matrix(70, n, 2);
+        let x200 = random_matrix(200, n, 3);
+        let x40 = random_matrix(40, n, 4);
+        let x120 = random_matrix(120, n, 5);
+        // ~1 000 pairs (two chunks) over rows 0..150 only: rows 150..300
+        // are touched by no chunk.
+        let low_half_pairs: Vec<FairPair> = sorted_random_pairs(&x300, 4_000, 14)
+            .into_iter()
+            .filter(|p| p.j < 150)
+            .collect();
+        let cases: Vec<(&str, &Matrix, Vec<FairPair>, IFairConfig)> = vec![
+            (
+                "sorted mini-batch pairs",
+                &x300,
+                sorted_random_pairs(&x300, 1_500, 6),
+                config(3),
+            ),
+            (
+                "exact tiles, weighted",
+                &x70,
+                build(&x70, FairnessPairs::Exact, 7),
+                IFairConfig {
+                    fairness_distance: FairnessDistance::Weighted,
+                    ..config(3)
+                },
+            ),
+            (
+                "subsampled, rooted softmax, weighted, p = 3",
+                &x200,
+                build(&x200, FairnessPairs::Subsampled { n_pairs: 1_200 }, 8),
+                IFairConfig {
+                    p: 3.0,
+                    softmax_distance: SoftmaxDistance::Rooted,
+                    fairness_distance: FairnessDistance::Weighted,
+                    ..config(3)
+                },
+            ),
+            (
+                "rows shared across chunk boundaries, λ = 0",
+                &x40,
+                sorted_random_pairs(&x40, 780, 9),
+                IFairConfig {
+                    lambda: 0.0,
+                    ..config(2)
+                },
+            ),
+            ("empty pair list", &x40, Vec::new(), config(2)),
+            (
+                "μ = 0",
+                &x120,
+                sorted_random_pairs(&x120, 900, 10),
+                IFairConfig {
+                    mu: 0.0,
+                    ..config(3)
+                },
+            ),
+            (
+                "−0.0 seed in rows no pair touches",
+                &x300,
+                low_half_pairs,
+                IFairConfig {
+                    lambda: tiny,
+                    ..config(3)
+                },
+            ),
+            (
+                "−0.0 seed, empty pair list",
+                &x40,
+                Vec::new(),
+                IFairConfig {
+                    lambda: tiny,
+                    ..config(2)
+                },
+            ),
+        ];
+        let pools = [par::WorkerPool::new(2), par::WorkerPool::new(4)];
+        let mut index = FairRowIndex::new();
+        for (label, x, pairs, cfg) in &cases {
+            let kern = LossKernel::from_config(n, cfg);
+            let mut theta = theta_at(kern.dim(), 13);
+            theta[1] = -0.2; // a negative weight takes the clamped branches
+            let want = dense_reference(&kern, x, pairs, &theta);
+            if cfg.lambda == tiny {
+                assert!(untouched_negative_zero(&kern, x, pairs, &theta), "{label}");
+                // The dense fold turns those into +0.0, unless no chunk runs.
+                let kept = want.g_xt.contains(&(-0.0f64).to_bits());
+                assert_eq!(kept, pairs.is_empty(), "{label}");
+            }
+            assert_eq!(
+                compact_evaluation(&kern, x, pairs, &theta, &mut index, None),
+                want,
+                "{label}: serial"
+            );
+            for pool in &pools {
+                let got = compact_evaluation(&kern, x, pairs, &theta, &mut index, Some(pool));
+                assert_eq!(got, want, "{label}: {} threads", pool.lanes());
+            }
+            for workers in [1, 3] {
+                let got = fleet_evaluation(cfg, x, pairs, &theta, workers);
+                assert_eq!(got, want, "{label}: {workers} fake workers");
+            }
+        }
+    }
+
+    #[test]
+    fn fairness_index_covers_exactly_the_rows_each_chunk_touches() {
+        let x = random_matrix(60, 3, 11);
+        let pairs = sorted_random_pairs(&x, 1_200, 12);
+        let mut index = FairRowIndex::new();
+        // Rebuilding over a different list first must leave no residue.
+        index.rebuild(&sorted_random_pairs(&x, 700, 13), 60);
+        index.rebuild(&pairs, 60);
+        assert_eq!(index.chunks, fair_chunk_layout(pairs.len()));
+        for (c, range) in index.chunks.iter().enumerate() {
+            let mut want: Vec<usize> = pairs[range.clone()]
+                .iter()
+                .flat_map(|p| [p.i, p.j])
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            let rows = index.chunk_rows(c);
+            assert_eq!(rows, want.as_slice(), "chunk {c}");
+            assert!(index.max_rows() >= rows.len());
+            for (pair, &[si, sj]) in pairs[range.clone()].iter().zip(&index.slots[range.clone()]) {
+                assert_eq!((rows[si as usize], rows[sj as usize]), (pair.i, pair.j));
+            }
+        }
     }
 }

@@ -20,9 +20,11 @@
 //! [`BinDatasetWriter`] streams rows in and emits shards through
 //! [`crate::persist::write_atomic`], so a crash mid-conversion leaves only
 //! complete shards. [`BinRecordSource`] implements [`RecordSource`] with
-//! positioned reads (`pread` on Unix): resident memory per open shard is
-//! one header plus one row buffer, independent of the dataset size — the
-//! property the out-of-core trainer relies on.
+//! coalesced positioned reads (`pread` on Unix): each run of requested
+//! rows that ascends within one shard, with gaps of at most 4 KiB, is one
+//! read of a reusable window of at most 64 KiB. Resident memory is that
+//! window plus one header per open shard, independent of the dataset size
+//! — the property the out-of-core trainer relies on.
 //!
 //! Malformed input (bad magic, truncated payload, inconsistent headers)
 //! surfaces as a typed [`DataError`]; an unknown format version is
@@ -51,6 +53,15 @@ const MAX_HEADER_LEN: u32 = 16 << 20;
 /// Default rows per shard for writers that do not choose one: 256k rows of
 /// a 16-column dataset is a ~32 MiB shard.
 pub const DEFAULT_SHARD_ROWS: usize = 262_144;
+
+/// Largest run of unrequested bytes between two requested rows that one
+/// positioned read still spans: copying 4 KiB from the page cache costs
+/// less than another read call.
+const MAX_GAP_BYTES: usize = 4 << 10;
+
+/// Span of one positioned read and size of the reader's reusable window
+/// (one row, if a row is wider).
+const WINDOW_BYTES: usize = 64 << 10;
 
 /// Per-column summary statistics over one shard's rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -367,17 +378,18 @@ struct Shard {
 
 /// Random-access reader over a set of `.ifb` shards.
 ///
-/// Implements [`RecordSource`] with positioned reads: each `read_rows`
-/// call touches only the bytes of the requested rows, so resident memory
-/// stays O(1) in the dataset size.
+/// Implements [`RecordSource`] with coalesced positioned reads: each
+/// `read_rows` call reads the requested rows, plus gaps of at most 4 KiB
+/// between them, in windows of at most 64 KiB, so resident memory stays
+/// O(1) in the dataset size.
 #[derive(Debug)]
 pub struct BinRecordSource {
     shards: Vec<Shard>,
     names: Vec<String>,
     n_records: usize,
     n_features: usize,
-    /// Reusable byte buffer for one row.
-    row_buf: Vec<u8>,
+    /// Reusable read window: [`WINDOW_BYTES`], or one row if wider.
+    window: Vec<u8>,
 }
 
 impl BinRecordSource {
@@ -434,7 +446,7 @@ impl BinRecordSource {
             names,
             n_records: next,
             n_features,
-            row_buf: vec![0u8; n_features * 8],
+            window: vec![0u8; WINDOW_BYTES.max(n_features * 8)],
         })
     }
 
@@ -451,26 +463,41 @@ impl BinRecordSource {
             .collect()
     }
 
-    /// Reads absolute row `index` into `out` (exactly one row wide).
-    fn read_row(&mut self, index: usize, out: &mut [f64]) -> Result<(), DataError> {
+    /// Plans the positioned read that serves `indices[0]`: returns its
+    /// shard and how many leading entries of `indices` the same read
+    /// covers. A run continues while the next row stays in the shard,
+    /// does not descend (a repeat is free), leaves a gap of at most
+    /// [`MAX_GAP_BYTES`] after the previous row, and keeps the span from
+    /// the run's first row within the window. `indices` must be non-empty
+    /// and in range.
+    fn plan_run(&self, indices: &[usize]) -> (usize, usize) {
+        let row_bytes = self.n_features * 8;
+        let first = indices[0];
         let shard_idx = self
             .shards
-            .partition_point(|s| s.row_lo + s.n_rows <= index);
-        let shard = &mut self.shards[shard_idx];
-        let offset = shard.payload_offset + ((index - shard.row_lo) * self.n_features * 8) as u64;
-        read_at(&mut shard.file, offset, &mut self.row_buf).map_err(|e| {
-            DataError::Parse(format!("reading row {index} from a dataset shard: {e}"))
-        })?;
-        for (v, chunk) in out.iter_mut().zip(self.row_buf.chunks_exact(8)) {
-            *v = f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+            .partition_point(|s| s.row_lo + s.n_rows <= first);
+        let shard_end = self.shards[shard_idx].row_lo + self.shards[shard_idx].n_rows;
+        let window_rows = self.window.len() / row_bytes;
+        let mut prev = first;
+        let mut len = 1;
+        for &next in &indices[1..] {
+            let joins = next >= prev
+                && next < shard_end
+                && (next - prev).saturating_sub(1) * row_bytes <= MAX_GAP_BYTES
+                && next - first < window_rows;
+            if !joins {
+                break;
+            }
+            prev = next;
+            len += 1;
         }
-        Ok(())
+        (shard_idx, len)
     }
 }
 
 /// Positioned read: `pread` on Unix (no shared cursor), seek+read
 /// elsewhere.
-fn read_at(file: &mut File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+fn read_at(file: &File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
     #[cfg(unix)]
     {
         use std::os::unix::fs::FileExt;
@@ -479,6 +506,7 @@ fn read_at(file: &mut File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> 
     #[cfg(not(unix))]
     {
         use std::io::{Seek, SeekFrom};
+        let mut file = file;
         file.seek(SeekFrom::Start(offset))?;
         file.read_exact(buf)
     }
@@ -501,9 +529,30 @@ impl RecordSource for BinRecordSource {
             out,
             "binary source",
         )?;
+        // One positioned read per planned run, then the run's rows are
+        // decoded from the window in request order.
         let n = self.n_features;
-        for (slot, &index) in out.chunks_exact_mut(n).zip(indices) {
-            self.read_row(index, slot)?;
+        let row_bytes = n * 8;
+        let mut done = 0;
+        while done < indices.len() {
+            let (shard_idx, len) = self.plan_run(&indices[done..]);
+            let run = &indices[done..done + len];
+            let (first, last) = (run[0], run[len - 1]);
+            let shard = &self.shards[shard_idx];
+            let offset = shard.payload_offset + ((first - shard.row_lo) * row_bytes) as u64;
+            let window = &mut self.window[..(last - first + 1) * row_bytes];
+            read_at(&shard.file, offset, window).map_err(|e| {
+                DataError::Parse(format!(
+                    "reading rows {first}..={last} from a dataset shard: {e}"
+                ))
+            })?;
+            for (slot, &index) in out[done * n..(done + len) * n].chunks_exact_mut(n).zip(run) {
+                let row = &window[(index - first) * row_bytes..][..row_bytes];
+                for (v, bytes) in slot.iter_mut().zip(row.chunks_exact(8)) {
+                    *v = f64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+                }
+            }
+            done += len;
         }
         Ok(())
     }
@@ -552,6 +601,153 @@ mod tests {
             let got: Vec<u64> = slot.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, expect, "row {i}");
         }
+        cleanup(&paths);
+    }
+
+    /// Writes `rows` rows of 4 features (32-byte rows, so 4 KiB is exactly
+    /// 128 rows) whose every value is distinct.
+    fn write_wide(tag: &str, rows: usize, shard_rows: usize) -> Vec<PathBuf> {
+        let names = (0..4).map(|c| format!("f{c}")).collect();
+        let mut writer = BinDatasetWriter::create(tmp_stem(tag), names, shard_rows).unwrap();
+        for i in 0..rows {
+            let row: Vec<f64> = (0..4).map(|c| i as f64 * 8.0 + c as f64 + 0.5).collect();
+            writer.push_row(&row).unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    /// The reader before coalescing: one `read_exact_at` per requested row,
+    /// straight from the shard files. Returns the value bits.
+    #[cfg(unix)]
+    fn per_row_reference(paths: &[PathBuf], indices: &[usize]) -> Vec<u64> {
+        use std::os::unix::fs::FileExt;
+        let shards: Vec<_> = paths
+            .iter()
+            .map(|p| {
+                let (header, geometry) = read_shard_header(p).unwrap();
+                (header, geometry, File::open(p).unwrap())
+            })
+            .collect();
+        let mut bits = Vec::new();
+        for &i in indices {
+            let (header, geometry, file) = shards
+                .iter()
+                .find(|(h, _, _)| (h.row_lo..h.row_lo + h.n_rows).contains(&(i as u64)))
+                .expect("index in range");
+            let width = header.n_features as usize * 8;
+            let mut buf = vec![0u8; width];
+            let offset = geometry.payload_offset + (i as u64 - header.row_lo) * width as u64;
+            file.read_exact_at(&mut buf, offset).unwrap();
+            bits.extend(
+                buf.chunks_exact(8)
+                    .map(|b| u64::from_le_bytes(b.try_into().unwrap())),
+            );
+        }
+        bits
+    }
+
+    #[cfg(unix)]
+    fn assert_reads_match(source: &mut BinRecordSource, paths: &[PathBuf], indices: &[usize]) {
+        let mut out = vec![0.0; indices.len() * source.n_features()];
+        source.read_rows(indices, &mut out).unwrap();
+        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            got,
+            per_row_reference(paths, indices),
+            "indices {indices:?}"
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn coalesced_reads_match_per_row_reads() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        // Shards of 4096, 4096 and 1808 rows.
+        let paths = write_wide("planner", 10_000, 4096);
+        let mut source = BinRecordSource::open(&paths).unwrap();
+        let m = source.n_records();
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let count = rng.gen_range(1..3000usize);
+            let mut ascending: Vec<usize> = (0..count).map(|_| rng.gen_range(0..m)).collect();
+            ascending.sort_unstable();
+            assert_reads_match(&mut source, &paths, &ascending);
+            let distinct = {
+                let mut d = ascending.clone();
+                d.dedup();
+                d
+            };
+            assert_reads_match(&mut source, &paths, &distinct);
+            let descending: Vec<usize> = distinct.iter().rev().copied().collect();
+            assert_reads_match(&mut source, &paths, &descending);
+            let mut shuffled = ascending.clone();
+            shuffled.shuffle(&mut rng);
+            assert_reads_match(&mut source, &paths, &shuffled);
+        }
+        let lists: Vec<Vec<usize>> = vec![
+            vec![5, 5, 5, 6, 6, 4, 4, 9_999, 9_999, 0, 0],
+            (4_090..4_105).chain(8_185..8_200).collect(),
+            vec![100, 229],
+            vec![100, 230],
+            (0..m).collect(),
+            (0..m).step_by(3).collect(),
+            vec![m - 1],
+            vec![9_990, 9_995, m - 1],
+        ];
+        for indices in &lists {
+            assert_reads_match(&mut source, &paths, indices);
+        }
+        cleanup(&paths);
+
+        let one_row_shards = write_wide("planner-1row", 7, 1);
+        assert_eq!(one_row_shards.len(), 7);
+        let mut source = BinRecordSource::open(&one_row_shards).unwrap();
+        for indices in [vec![0, 1, 2, 3, 4, 5, 6], vec![6, 5, 0, 0, 3], vec![6]] {
+            assert_reads_match(&mut source, &one_row_shards, &indices);
+        }
+        cleanup(&one_row_shards);
+    }
+
+    #[test]
+    fn runs_break_at_gaps_shards_windows_and_descents() {
+        let paths = write_wide("runs", 10_000, 4096);
+        let source = BinRecordSource::open(&paths).unwrap();
+        // Rows 101..=228 are 128 × 32 B = exactly 4 KiB: one read.
+        assert_eq!(source.plan_run(&[100, 229]), (0, 2));
+        // One row more is a second read.
+        assert_eq!(source.plan_run(&[100, 230]), (0, 1));
+        // Repeats join; a descent or a shard boundary ends the run.
+        assert_eq!(source.plan_run(&[7, 7, 8, 8, 3]), (0, 4));
+        assert_eq!(source.plan_run(&[4_095, 4_096]), (0, 1));
+        assert_eq!(source.plan_run(&[4_096, 4_097]), (1, 2));
+        // A window holds 64 KiB / 32 B = 2048 rows.
+        let all: Vec<usize> = (0..4096).collect();
+        assert_eq!(source.plan_run(&all), (0, 2048));
+        assert_eq!(source.plan_run(&all[2048..]), (0, 2048));
+        assert_eq!(source.plan_run(&[9_999]), (2, 1));
+        cleanup(&paths);
+    }
+
+    #[test]
+    fn a_shard_truncated_after_open_is_a_typed_error() {
+        let paths = write_wide("truncated", 100, 50);
+        let mut source = BinRecordSource::open(&paths).unwrap();
+        let (_, geometry) = read_shard_header(&paths[1]).unwrap();
+        File::options()
+            .write(true)
+            .open(&paths[1])
+            .unwrap()
+            .set_len(geometry.payload_offset + 10 * 32)
+            .unwrap();
+        let mut out = vec![0.0; 4 * 2];
+        // Rows of the intact shard still read; rows past the cut do not.
+        source.read_rows(&[3, 49], &mut out).unwrap();
+        let err = source.read_rows(&[55, 70], &mut out).unwrap_err();
+        assert!(matches!(err, DataError::Parse(_)), "{err:?}");
+        let err = source.read_rows(&[70], &mut out[..4]).unwrap_err();
+        assert!(matches!(err, DataError::Parse(_)), "{err:?}");
         cleanup(&paths);
     }
 

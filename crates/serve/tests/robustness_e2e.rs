@@ -77,6 +77,81 @@ fn boot(path: &std::path::Path, config: ServerConfig) -> ifair_serve::ServerHand
 
 const BODY: &str = "{\"rows\":[[0.3,0.7,1.0],[0.6,0.4,0.0]]}";
 
+/// Kills and reaps a child server when the test ends, pass or fail.
+struct ChildServer(std::process::Child);
+
+impl Drop for ChildServer {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+/// A ~400 KB body nested 200 000 levels deep is a 400, and the server
+/// keeps serving. The server runs as a child process, so a stack overflow
+/// (which aborts the process past any supervision) shows up as its death
+/// instead of killing the test harness.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    let bin = env!("CARGO_BIN_EXE_ifair");
+    let artifact = temp_file("nested-artifact");
+    let addr_file = temp_file("nested-addr");
+    std::fs::remove_file(&addr_file).ok();
+    let status = std::process::Command::new(bin)
+        .arg("demo-artifact")
+        .arg(&artifact)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success(), "demo-artifact failed: {status}");
+    let mut server = ChildServer(
+        std::process::Command::new(bin)
+            .arg("serve")
+            .arg("--model")
+            .arg(format!("demo={}", artifact.display()))
+            .args(["--addr", "127.0.0.1:0", "--addr-file"])
+            .arg(&addr_file)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let mut addr = None;
+    for _ in 0..200 {
+        if let Ok(text) = std::fs::read_to_string(&addr_file) {
+            if let Ok(parsed) = text.trim().parse::<std::net::SocketAddr>() {
+                addr = Some(parsed);
+                break;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let addr = addr.expect("server wrote its address");
+
+    let depth = 200_000;
+    let body = format!("{{\"rows\":{}{}}}", "[".repeat(depth), "]".repeat(depth));
+    let (status, reply) = client::request_with(
+        addr,
+        "POST",
+        "/v1/models/demo/transform",
+        &[],
+        Some(&body),
+        Some(Duration::from_secs(30)),
+    )
+    .unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("nesting deeper than 128"), "{reply}");
+
+    let (status, reply) = client::request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert!(
+        server.0.try_wait().unwrap().is_none(),
+        "the server process exited"
+    );
+    std::fs::remove_file(&artifact).ok();
+    std::fs::remove_file(&addr_file).ok();
+}
+
 #[test]
 fn zero_budget_requests_are_shed_with_retry_after() {
     let path = write_artifact("shed", 3);
