@@ -2,7 +2,8 @@
 //! objective (value vs analytic value-and-gradient vs finite differences),
 //! the metric kernels — and, the headline, the serial vs pooled objective
 //! evaluation and end-to-end `fit` on M = 2000 records (1 999 000 fairness
-//! pairs).
+//! pairs), plus one mini-batch evaluation at the out-of-core training
+//! shape at 1 and 2 threads.
 //!
 //! Run with `cargo bench -p ifair-bench --bench kernels`. Environment knobs:
 //!
@@ -17,7 +18,9 @@
 use ifair_bench::timing::{bench, table_header, BenchReport};
 use ifair_core::distance::{weighted_minkowski, weighted_power_sum};
 use ifair_core::par::available_threads;
-use ifair_core::{Backend, FairnessPairs, IFair, IFairConfig, IFairObjective};
+use ifair_core::{
+    Backend, FairnessPairs, FitStrategy, IFair, IFairConfig, IFairObjective, MiniBatchObjective,
+};
 use ifair_linalg::Matrix;
 use ifair_metrics::{auc, consistency, kendall_tau};
 use ifair_optim::{NumericalObjective, Objective};
@@ -186,6 +189,59 @@ fn bench_objective_evaluation_scaling(report: &mut BenchReport, sizes: &Sizes) {
     }
 }
 
+/// One mini-batch step's objective evaluation at the out-of-core training
+/// shape (B = 65 536 records, N = 17, K = 4, P = 4 096 pairs; smoke
+/// B = 4 096): the per-record forward and backprop kernels dominate it.
+/// Runs at 1 and 2 threads and prints the 2-thread/1-thread median ratio.
+fn bench_minibatch_evaluation(report: &mut BenchReport, sizes: &Sizes) {
+    let (b, n, k, pairs) = (if sizes.smoke { 4_096 } else { 65_536 }, 17, 4, 4_096);
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut x = Matrix::from_fn(b, n, |_, j| {
+        if j == n - 1 {
+            f64::from(rng.gen_bool(0.5))
+        } else {
+            rng.gen_range(0.0..1.0)
+        }
+    });
+    let mut protected = vec![false; n];
+    protected[n - 1] = true;
+    table_header(&format!(
+        "mini-batch objective evaluation, B = {b} N = {n} K = {k}, {pairs} pairs"
+    ));
+    let iters = if sizes.smoke { 3 } else { 20 };
+    let mut medians = Vec::new();
+    for threads in [1usize, 2] {
+        let config = IFairConfig {
+            k,
+            n_threads: threads,
+            strategy: FitStrategy::MiniBatch {
+                batch_records: b,
+                pairs_per_batch: pairs,
+                epochs: 1,
+                learning_rate: 0.05,
+            },
+            ..Default::default()
+        };
+        let mut obj = MiniBatchObjective::new(b, &protected, &config);
+        obj.resample(&mut x, &mut StdRng::seed_from_u64(31))
+            .expect("finite batch");
+        let theta: Vec<f64> = random_vec(obj.dim(), 11).iter().map(|v| v.abs()).collect();
+        let mut grad = vec![0.0; obj.dim()];
+        let m = bench(
+            &format!("value_and_gradient/minibatch/threads{threads}"),
+            sizes.warmup,
+            iters,
+            || obj.value_and_gradient(black_box(&theta), &mut grad),
+        );
+        report.push(&m);
+        medians.push(m.median.as_secs_f64());
+    }
+    println!(
+        "    2-thread/1-thread median ratio: {:.2}",
+        medians[1] / medians[0]
+    );
+}
+
 /// End-to-end `IFair::fit` wall-clock, serial vs all hardware threads —
 /// the number the persistent pool exists to improve.
 fn bench_fit_end_to_end(report: &mut BenchReport, sizes: &Sizes) {
@@ -325,6 +381,7 @@ fn main() {
     bench_distance_kernels(&mut report);
     bench_objective(&mut report, &sizes);
     bench_objective_evaluation_scaling(&mut report, &sizes);
+    bench_minibatch_evaluation(&mut report, &sizes);
     bench_kernel_variants(&mut report, &sizes);
     bench_fit_end_to_end(&mut report, &sizes);
     bench_metric_kernels(&mut report, &sizes);

@@ -771,7 +771,31 @@ impl IFair {
     /// Fills `u` (`rows.len() x K`) with the responsibilities of the `rows`
     /// range of `x` — the per-row kernel shared by [`IFair::responsibilities`]
     /// and the chunked [`IFair::transform_on`] path.
+    ///
+    /// The softmax distance is chosen once per call, outside the row loop,
+    /// as in `LossKernel::forward_chunk` (which says why).
     fn responsibilities_rows_into(&self, x: &Matrix, rows: std::ops::Range<usize>, u: &mut Matrix) {
+        let (alpha, p) = (self.alpha.as_slice(), self.config.p);
+        let power_sum = |xi: &[f64], vk: &[f64]| distance::weighted_power_sum(xi, vk, alpha, p);
+        match self.config.softmax_distance {
+            SoftmaxDistance::PowerSum => self.responsibilities_with(x, rows, u, power_sum),
+            SoftmaxDistance::Rooted => {
+                let inv_p = 1.0 / p;
+                self.responsibilities_with(x, rows, u, |xi, vk| power_sum(xi, vk).powf(inv_p))
+            }
+        }
+    }
+
+    /// The row loop of [`IFair::responsibilities_rows_into`], with the
+    /// softmax distance `dist(x_i, v_k)` fixed for the call.
+    #[inline(always)]
+    fn responsibilities_with(
+        &self,
+        x: &Matrix,
+        rows: std::ops::Range<usize>,
+        u: &mut Matrix,
+        dist: impl Fn(&[f64], &[f64]) -> f64,
+    ) {
         let k = self.config.k;
         // One distance buffer reused across records (every entry is
         // overwritten per record), not one allocation per record.
@@ -779,16 +803,7 @@ impl IFair {
         for (out_i, i) in rows.enumerate() {
             let xi = x.row(i);
             for (kk, dk) in d.iter_mut().enumerate() {
-                let s = distance::weighted_power_sum(
-                    xi,
-                    self.prototypes.row(kk),
-                    &self.alpha,
-                    self.config.p,
-                );
-                *dk = match self.config.softmax_distance {
-                    SoftmaxDistance::PowerSum => s,
-                    SoftmaxDistance::Rooted => s.powf(1.0 / self.config.p),
-                };
+                *dk = dist(xi, self.prototypes.row(kk));
             }
             let d_min = d.iter().cloned().fold(f64::INFINITY, f64::min);
             let mut z = 0.0;

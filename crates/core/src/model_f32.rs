@@ -124,34 +124,59 @@ impl IFairF32 {
             rest = tail;
             jobs.push((r, chunk));
         }
-        par::pool_map(pool, jobs, |(rows, chunk)| {
-            let mut xi = vec![0.0f32; n];
-            let mut d = vec![0.0f32; self.k];
-            let mut u = vec![0.0f32; self.k];
-            let mut xt = vec![0.0f32; n];
-            for (row_idx, i) in rows.enumerate() {
-                for (lo, &hi) in xi.iter_mut().zip(x.row(i)) {
-                    *lo = hi as f32;
-                }
-                self.transform_row(&xi, &mut d, &mut u, &mut xt);
-                for (o, &v) in chunk[row_idx * n..(row_idx + 1) * n].iter_mut().zip(&xt) {
-                    *o = f64::from(v);
-                }
+        // The softmax distance is chosen once per chunk, outside the row
+        // loop, as in `LossKernel::forward_chunk` (which says why).
+        let (alpha, p) = (self.alpha.as_slice(), self.p);
+        let power_sum = |xi: &[f32], vk: &[f32]| distance::weighted_power_sum(xi, vk, alpha, p);
+        par::pool_map(pool, jobs, |(rows, chunk)| match self.softmax_distance {
+            SoftmaxDistance::PowerSum => self.transform_rows(x, rows, chunk, power_sum),
+            SoftmaxDistance::Rooted => {
+                let inv_p = 1.0 / p;
+                self.transform_rows(x, rows, chunk, |xi, vk| power_sum(xi, vk).powf(inv_p))
             }
         });
         out
     }
 
+    /// The `rows` of `x` through [`IFairF32::transform_row`] into `chunk`,
+    /// with the softmax distance `dist(x_i, v_k)` fixed for the chunk.
+    #[inline(always)]
+    fn transform_rows(
+        &self,
+        x: &Matrix,
+        rows: std::ops::Range<usize>,
+        chunk: &mut [f64],
+        dist: impl Fn(&[f32], &[f32]) -> f32,
+    ) {
+        let n = self.n;
+        let mut xi = vec![0.0f32; n];
+        let mut d = vec![0.0f32; self.k];
+        let mut u = vec![0.0f32; self.k];
+        let mut xt = vec![0.0f32; n];
+        for (row_idx, i) in rows.enumerate() {
+            for (lo, &hi) in xi.iter_mut().zip(x.row(i)) {
+                *lo = hi as f32;
+            }
+            self.transform_row(&xi, &mut d, &mut u, &mut xt, &dist);
+            for (o, &v) in chunk[row_idx * n..(row_idx + 1) * n].iter_mut().zip(&xt) {
+                *o = f64::from(v);
+            }
+        }
+    }
+
     /// One record through distances, softmax, and reconstruction — the same
     /// math as the `f64` forward pass, instantiated at `f32`.
-    fn transform_row(&self, xi: &[f32], d: &mut [f32], u: &mut [f32], xt: &mut [f32]) {
+    #[inline(always)]
+    fn transform_row(
+        &self,
+        xi: &[f32],
+        d: &mut [f32],
+        u: &mut [f32],
+        xt: &mut [f32],
+        dist: impl Fn(&[f32], &[f32]) -> f32,
+    ) {
         for (kk, dk) in d.iter_mut().enumerate() {
-            let vk = &self.prototypes[kk * self.n..(kk + 1) * self.n];
-            let s = distance::weighted_power_sum(xi, vk, &self.alpha, self.p);
-            *dk = match self.softmax_distance {
-                SoftmaxDistance::PowerSum => s,
-                SoftmaxDistance::Rooted => s.powf(1.0 / self.p),
-            };
+            *dk = dist(xi, &self.prototypes[kk * self.n..(kk + 1) * self.n]);
         }
         let d_min = d.iter().cloned().fold(f32::INFINITY, f32::min);
         let mut z = 0.0f32;

@@ -59,6 +59,7 @@ use crate::par;
 use ifair_api::FitError;
 use ifair_data::stream::RecordSource;
 use ifair_data::DataError;
+use ifair_linalg::lanes::{self, LANES};
 use ifair_linalg::Matrix;
 use ifair_optim::{fold, Objective};
 use rand::rngs::StdRng;
@@ -170,31 +171,67 @@ impl ForwardState {
     }
 }
 
-/// A bank of per-chunk scratch buffers, sized lazily on first use and then
-/// reused for the rest of the objective's lifetime. Jobs zero their own
-/// buffer before accumulating, so reuse never leaks state across
+/// One 64-byte cache line, in `f64`s.
+const LINE_F64: usize = 64 / std::mem::size_of::<f64>();
+
+/// A bank of per-chunk scratch buffers in one allocation, grown on first
+/// use and then reused for the rest of the objective's lifetime. Jobs zero
+/// their own buffer before accumulating, so reuse never leaks state across
 /// evaluations.
+///
+/// A cache line of padding separates every buffer from the next and from
+/// the bank's neighbours in memory. Pool lanes write neighbouring chunks'
+/// accumulators for every record; packed side by side, they would share
+/// cache lines, and that false sharing cost a 2-thread backprop more than
+/// its second lane gained.
 struct ChunkScratch {
-    bufs: Vec<Vec<f64>>,
+    data: Vec<f64>,
+    /// Buffer count and length of the last [`ChunkScratch::take`].
+    count: usize,
+    len: usize,
 }
 
 impl ChunkScratch {
     fn new() -> ChunkScratch {
-        ChunkScratch { bufs: Vec::new() }
+        ChunkScratch {
+            data: Vec::new(),
+            count: 0,
+            len: 0,
+        }
     }
 
-    /// The first `count` buffers, each of length `len` (allocating or
-    /// resizing only on first use / size change).
-    fn take(&mut self, count: usize, len: usize) -> &mut [Vec<f64>] {
-        if self.bufs.len() < count {
-            self.bufs.resize_with(count, Vec::new);
+    /// The bank's buffer region: `count` slots of `len` values plus one
+    /// line of padding each, after one line of leading padding.
+    fn region(&self) -> Range<usize> {
+        LINE_F64..LINE_F64 + self.count * (self.len + LINE_F64)
+    }
+
+    /// `count` buffers of length `len` (growing the bank only when it is
+    /// too small).
+    fn take(&mut self, count: usize, len: usize) -> impl Iterator<Item = &mut [f64]> {
+        (self.count, self.len) = (count, len);
+        let region = self.region();
+        if self.data.len() < region.end {
+            self.data.resize(region.end, 0.0);
         }
-        for buf in &mut self.bufs[..count] {
-            if buf.len() != len {
-                buf.resize(len, 0.0);
-            }
-        }
-        &mut self.bufs[..count]
+        self.data[region]
+            .chunks_exact_mut(len + LINE_F64)
+            .map(move |slot| &mut slot[..len])
+    }
+
+    /// One buffer of length `len`, for a serial sweep.
+    fn take_one(&mut self, len: usize) -> &mut [f64] {
+        self.take(1, len)
+            .next()
+            .expect("take(1, _) yields one buffer")
+    }
+
+    /// The buffers of the last [`ChunkScratch::take`], in order.
+    fn bufs(&self) -> impl Iterator<Item = &[f64]> {
+        let len = self.len;
+        self.data[self.region()]
+            .chunks_exact(len + LINE_F64)
+            .map(move |slot| &slot[..len])
     }
 }
 
@@ -445,7 +482,38 @@ impl LossKernel {
     /// Serial forward pass over one contiguous chunk of records — the
     /// single source of truth for the per-record math on both the serial
     /// and the pooled path.
+    ///
+    /// The softmax distance is chosen here, once per chunk. Inside the
+    /// record loop, LLVM if-converts a per-distance `match` and evaluates
+    /// the `Rooted` arm's `powf` for every `PowerSum` distance too. The
+    /// `PowerSum`, `p = 2` default gets a loop of its own that calls the
+    /// `w·Δ²` kernel directly (the one `distance::weighted_power_sum`
+    /// picks at `p = 2`), so no libm call but `exp` is reachable from it.
     fn forward_chunk(&self, x: &Matrix, alpha: &[f64], v: &[f64], job: ForwardJob<'_>) {
+        let p = self.p;
+        let power_sum = |xi: &[f64], vk: &[f64]| distance::weighted_power_sum(xi, vk, alpha, p);
+        match self.softmax_distance {
+            SoftmaxDistance::PowerSum if p == 2.0 => {
+                self.forward_records(x, v, job, |xi, vk| lanes::weighted_sq_sum(xi, vk, alpha))
+            }
+            SoftmaxDistance::PowerSum => self.forward_records(x, v, job, power_sum),
+            SoftmaxDistance::Rooted => {
+                let inv_p = 1.0 / p;
+                self.forward_records(x, v, job, |xi, vk| power_sum(xi, vk).powf(inv_p))
+            }
+        }
+    }
+
+    /// The record loop of [`LossKernel::forward_chunk`], with the softmax
+    /// distance `D_ik = dist(x_i, v_k)` fixed for the chunk.
+    #[inline(always)]
+    fn forward_records(
+        &self,
+        x: &Matrix,
+        v: &[f64],
+        job: ForwardJob<'_>,
+        dist_fn: impl Fn(&[f64], &[f64]) -> f64,
+    ) {
         let (n, k) = (self.n, self.k);
         let ForwardJob {
             records,
@@ -458,12 +526,7 @@ impl LossKernel {
             let xi = x.row(i);
             let d_row = &mut dist[row * k..(row + 1) * k];
             for (kk, d) in d_row.iter_mut().enumerate() {
-                let vk = &v[kk * n..(kk + 1) * n];
-                let s = power_sum(xi, vk, alpha, self.p);
-                *d = match self.softmax_distance {
-                    SoftmaxDistance::PowerSum => s,
-                    SoftmaxDistance::Rooted => s.powf(1.0 / self.p),
-                };
+                *d = dist_fn(xi, &v[kk * n..(kk + 1) * n]);
             }
             // Stable softmax of -D: shift by the smallest distance.
             let d_min = d_row.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -577,8 +640,8 @@ impl LossKernel {
             // Serial: one reused accumulator walks the same chunk layout
             // with the same fold order as the pooled path (bit-identical),
             // at 1/chunk-count the memory.
-            let gx = &mut scratch.gx.take(1, index.max_rows() * n)[0];
-            let ga = &mut scratch.ga.take(1, g_alpha.len())[0];
+            let gx = scratch.gx.take_one(index.max_rows() * n);
+            let ga = scratch.ga.take_one(g_alpha.len());
             let mut loss = 0.0;
             for (c, range) in index.chunks.iter().enumerate() {
                 let rows = index.chunk_rows(c);
@@ -599,7 +662,7 @@ impl LossKernel {
         for ((l, c), (gx, ga)) in losses
             .into_iter()
             .zip(chunks)
-            .zip(scratch.gx.bufs.iter().zip(&scratch.ga.bufs))
+            .zip(scratch.gx.bufs().zip(scratch.ga.bufs()))
         {
             loss += l;
             fold_rows(g_xt, n, index.chunk_rows(c), gx);
@@ -629,12 +692,12 @@ impl LossKernel {
         let gx_bufs = scratch.gx.take(chunks.len(), index.max_rows() * n);
         let ga_bufs = scratch.ga.take(chunks.len(), n);
         let jobs: Vec<FairGradJob<'_>> = chunks
-            .zip(gx_bufs.iter_mut())
-            .zip(ga_bufs.iter_mut())
+            .zip(gx_bufs)
+            .zip(ga_bufs)
             .map(|((c, gx), ga)| FairGradJob {
                 pairs: index.chunks[c].clone(),
                 gx: &mut gx[..index.chunk_rows(c).len() * n],
-                ga: ga.as_mut_slice(),
+                ga,
             })
             .collect();
         par::pool_map(pool, jobs, |job| {
@@ -722,18 +785,41 @@ impl LossKernel {
     /// and the first chunk's fold had already applied it everywhere. Doing
     /// it here once, in the loop that writes the seed anyway, keeps the
     /// gradient bit-identical to the dense fold at no extra pass.
+    ///
+    /// Seed and sum come out of one lane-chunked pass. With `e = x̃ − x`,
+    /// `e·e` is bitwise the `(x − x̃)²` that `lanes::sq_euclidean(x, x̃)`
+    /// squares, and it enters the same lane in the same order.
     fn seed_g_xt(&self, x: &[f64], xt: &[f64], g_xt: &mut [f64], canonical: bool) -> f64 {
         if self.lambda == 0.0 {
             g_xt.fill(0.0);
             return 0.0;
         }
+        debug_assert!(x.len() == xt.len() && x.len() == g_xt.len());
         // `v + (−0.0)` is `v` for every `v`; `v + 0.0` is `v` except that
         // `−0.0` becomes `+0.0`.
         let zero = if canonical { 0.0 } else { -0.0 };
-        for ((g, &orig), &rec) in g_xt.iter_mut().zip(x).zip(xt) {
-            *g = 2.0 * self.lambda * (rec - orig) + zero;
+        let two_lambda = 2.0 * self.lambda;
+        let seed = |g: &mut f64, orig: f64, rec: f64| {
+            let e = rec - orig;
+            *g = two_lambda * e + zero;
+            e * e
+        };
+        let split = x.len() - x.len() % LANES;
+        let mut acc = [0.0; LANES];
+        for ((g, a), b) in g_xt[..split]
+            .chunks_exact_mut(LANES)
+            .zip(x[..split].chunks_exact(LANES))
+            .zip(xt[..split].chunks_exact(LANES))
+        {
+            for l in 0..LANES {
+                acc[l] += seed(&mut g[l], a[l], b[l]);
+            }
         }
-        ifair_linalg::lanes::sq_euclidean(x, xt)
+        let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+        for ((g, &a), &b) in g_xt[split..].iter_mut().zip(&x[split..]).zip(&xt[split..]) {
+            sum += seed(g, a, b);
+        }
+        sum
     }
 
     /// Backprop through `x̃ = U·V` and the softmax into `V`, `D`, and `α`,
@@ -761,9 +847,9 @@ impl LossKernel {
         if pool.is_none() {
             // Serial: one reused accumulator set, same chunk layout and
             // fold order as the pooled path (bit-identical).
-            let gv = &mut scratch.gv.take(1, k * n)[0];
-            let ga = &mut scratch.ga.take(1, n)[0];
-            let c = &mut scratch.c.take(1, k)[0];
+            let gv = scratch.gv.take_one(k * n);
+            let ga = scratch.ga.take_one(n);
+            let c = scratch.c.take_one(k);
             for records in layout {
                 self.backprop_chunk(
                     x,
@@ -773,9 +859,9 @@ impl LossKernel {
                     g_xt,
                     BackpropJob {
                         records,
-                        gv: gv.as_mut_slice(),
-                        ga: ga.as_mut_slice(),
-                        c: c.as_mut_slice(),
+                        gv: &mut *gv,
+                        ga: &mut *ga,
+                        c: &mut *c,
                     },
                 );
                 add_assign(g_v, gv);
@@ -783,25 +869,18 @@ impl LossKernel {
             }
             return;
         }
-        let gv_bufs = scratch.gv.take(layout.len(), k * n);
-        let ga_bufs = scratch.ga.take(layout.len(), n);
-        let c_bufs = scratch.c.take(layout.len(), k);
+        let count = layout.len();
         let jobs: Vec<BackpropJob<'_>> = layout
             .into_iter()
-            .zip(gv_bufs.iter_mut())
-            .zip(ga_bufs.iter_mut())
-            .zip(c_bufs.iter_mut())
-            .map(|(((records, gv), ga), c)| BackpropJob {
-                records,
-                gv: gv.as_mut_slice(),
-                ga: ga.as_mut_slice(),
-                c: c.as_mut_slice(),
-            })
+            .zip(scratch.gv.take(count, k * n))
+            .zip(scratch.ga.take(count, n))
+            .zip(scratch.c.take(count, k))
+            .map(|(((records, gv), ga), c)| BackpropJob { records, gv, ga, c })
             .collect();
         par::pool_map(pool, jobs, |job| {
             self.backprop_chunk(x, alpha, v, state, g_xt, job)
         });
-        for (gv, ga) in gv_bufs.iter().zip(ga_bufs.iter()) {
+        for (gv, ga) in scratch.gv.bufs().zip(scratch.ga.bufs()) {
             add_assign(g_v, gv);
             add_assign(g_alpha, ga);
         }
@@ -811,6 +890,12 @@ impl LossKernel {
     /// source of truth for the per-record math on both paths. `gv`/`ga` are
     /// the chunk's private accumulators; `c` is the per-record softmax
     /// product scratch, reused across the chunk's records.
+    ///
+    /// The `PowerSum`, `p = 2` default fuses the direct and distance paths
+    /// into one branch-free element loop; every other configuration keeps
+    /// the general per-element formulas. The choice is one predictable
+    /// branch per prototype between two loops, which LLVM cannot speculate
+    /// into a select the way it does a per-distance `match`.
     fn backprop_chunk(
         &self,
         x: &Matrix,
@@ -821,7 +906,10 @@ impl LossKernel {
         job: BackpropJob<'_>,
     ) {
         let (n, k, p) = (self.n, self.k, self.p);
+        let alpha = &alpha[..n];
+        let fused = self.softmax_distance == SoftmaxDistance::PowerSum && p == 2.0;
         let BackpropJob { records, gv, ga, c } = job;
+        let ga = &mut ga[..n];
         gv.fill(0.0);
         ga.fill(0.0);
         for i in records {
@@ -830,13 +918,13 @@ impl LossKernel {
             let u_row = &state.u[i * k..(i + 1) * k];
             let d_row = &state.dist[i * k..(i + 1) * k];
 
-            // c_k = ⟨∂L/∂x̃_i, v_k⟩ and the softmax Jacobian product
-            // b_k = ∂L/∂z_ik = u_k (c_k − Σ_j u_j c_j), with z = −D.
+            // c_k = ⟨∂L/∂x̃_i, v_k⟩ (all K in one pass over ∂L/∂x̃_i) and
+            // the softmax Jacobian product b_k = ∂L/∂z_ik
+            // = u_k (c_k − Σ_j u_j c_j), with z = −D.
+            lanes::dot_rows(gx_row, v, c);
             let mut c_dot_u = 0.0;
-            for (kk, ck) in c.iter_mut().enumerate() {
-                let vk = &v[kk * n..(kk + 1) * n];
-                *ck = dot(gx_row, vk);
-                c_dot_u += u_row[kk] * *ck;
+            for (&uk, &ck) in u_row.iter().zip(c.iter()) {
+                c_dot_u += uk * ck;
             }
 
             for kk in 0..k {
@@ -844,16 +932,37 @@ impl LossKernel {
                 let b_k = uk * (c[kk] - c_dot_u);
                 let vk = &v[kk * n..(kk + 1) * n];
                 let gv_row = &mut gv[kk * n..(kk + 1) * n];
-                // Direct path: ∂x̃_in/∂v_kn = u_ik.
+                // Direct path ∂x̃_in/∂v_kn = u_ik, then the distance path
+                // ∂L/∂D_ik = −b_k.
+                let gd = -b_k;
+                if fused {
+                    // ∂S/∂v_n = −α_n p Δ_n and ∂S/∂α_n = Δ_n². A clamped
+                    // `α_n < 0` adds `−0.0` to its weight gradient, which
+                    // changes no value, where the general loop skips the
+                    // add. At `gd = ±0` the general loop skips both adds;
+                    // here they add `±0.0` to accumulators that started at
+                    // `+0.0` and so never hold a `−0.0`: no change either.
+                    let (xi, vk, gx_row) = (&xi[..n], &vk[..n], &gx_row[..n]);
+                    for j in 0..n {
+                        let delta = xi[j] - vk[j];
+                        gv_row[j] =
+                            (gv_row[j] + uk * gx_row[j]) + gd * ((-alpha[j].max(0.0) * p) * delta);
+                        ga[j] += if alpha[j] >= 0.0 {
+                            gd * (delta * delta)
+                        } else {
+                            -0.0
+                        };
+                    }
+                    continue;
+                }
                 for (o, &gx) in gv_row.iter_mut().zip(gx_row) {
                     *o += uk * gx;
                 }
-                // Distance path: ∂L/∂D_ik = −b_k.
-                let gd = -b_k;
                 if gd == 0.0 {
                     continue;
                 }
                 match self.softmax_distance {
+                    // `p ≠ 2` here.
                     SoftmaxDistance::PowerSum => {
                         for idx in 0..n {
                             let delta = xi[idx] - vk[idx];
@@ -861,7 +970,7 @@ impl LossKernel {
                             gv_row[idx] +=
                                 gd * (-alpha[idx].max(0.0) * p * pow_abs_signed(delta, p - 1.0));
                             if alpha[idx] >= 0.0 {
-                                ga[idx] += gd * pow_abs(delta, p);
+                                ga[idx] += gd * delta.abs().powf(p);
                             }
                         }
                     }
@@ -1335,10 +1444,11 @@ impl MiniBatchObjective {
         let (m, b) = (self.n_source_records, self.batch_records);
         let state = self.batch.get_mut().expect("batch poisoned");
 
-        // Distinct record indices: dense draws shuffle a persistent
-        // permutation (a Fisher-Yates prefix is uniform from any starting
-        // arrangement), sparse draws reject duplicates against a persistent
-        // bit set, cleared again through the drawn indices.
+        // Distinct record indices, ascending: dense draws shuffle a
+        // persistent permutation (a Fisher-Yates prefix is uniform from any
+        // starting arrangement) and sort its prefix; sparse draws reject
+        // duplicates against a persistent bit set, then read it out in
+        // order, clearing each word as they go.
         state.indices.clear();
         if b >= m {
             state.indices.extend(0..m);
@@ -1351,21 +1461,26 @@ impl MiniBatchObjective {
                 state.perm.swap(idx, other);
             }
             state.indices.extend_from_slice(&state.perm[..b]);
+            state.indices.sort_unstable();
         } else {
             state.drawn.resize(m.div_ceil(64), 0);
-            while state.indices.len() < b {
+            let mut accepted = 0;
+            while accepted < b {
                 let i = rng.gen_range(0..m);
                 let (word, bit) = (&mut state.drawn[i / 64], 1u64 << (i % 64));
                 if *word & bit == 0 {
                     *word |= bit;
-                    state.indices.push(i);
+                    accepted += 1;
                 }
             }
-            for &i in &state.indices {
-                state.drawn[i / 64] = 0;
+            for (w, word) in state.drawn.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    state.indices.push(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
             }
         }
-        state.indices.sort_unstable();
 
         source.read_rows(&state.indices, state.x.as_mut_slice())?;
         if state.x.as_slice().iter().any(|v| !v.is_finite()) {
@@ -1738,14 +1853,14 @@ impl DpWorkerKernel {
             kern.fair_grad_chunks(pairs, index, owned.clone(), alpha, state, fair, fair_pool);
         owned
             .zip(losses)
-            .zip(fair.gx.bufs.iter().zip(&fair.ga.bufs))
+            .zip(fair.gx.bufs().zip(fair.ga.bufs()))
             .map(|((chunk, loss), (gx, ga))| {
                 let rows = index.chunk_rows(chunk);
                 let partial = FairPartial {
                     loss,
                     rows: rows.to_vec(),
                     gx: gx[..rows.len() * n].to_vec(),
-                    ga: ga.clone(),
+                    ga: ga.to_vec(),
                 };
                 (chunk, partial)
             })
@@ -1794,34 +1909,25 @@ impl DpWorkerKernel {
         g_xt[band.start * n..band.start * n + rows.len()].copy_from_slice(rows);
         let g_xt: &[f64] = g_xt;
         let state: &ForwardState = state;
-        let gv_bufs = back.gv.take(owned.len(), k * n);
-        let ga_bufs = back.ga.take(owned.len(), n);
-        let c_bufs = back.c.take(owned.len(), k);
         let jobs: Vec<BackpropJob<'_>> = owned
             .clone()
             .map(|chunk| layout[chunk].clone())
-            .zip(gv_bufs.iter_mut())
-            .zip(ga_bufs.iter_mut())
-            .zip(c_bufs.iter_mut())
-            .map(|(((records, gv), ga), c)| BackpropJob {
-                records,
-                gv: gv.as_mut_slice(),
-                ga: ga.as_mut_slice(),
-                c: c.as_mut_slice(),
-            })
+            .zip(back.gv.take(owned.len(), k * n))
+            .zip(back.ga.take(owned.len(), n))
+            .zip(back.c.take(owned.len(), k))
+            .map(|(((records, gv), ga), c)| BackpropJob { records, gv, ga, c })
             .collect();
         par::pool_map(rec_pool, jobs, |job| {
             kern.backprop_chunk(x, alpha, v, state, g_xt, job)
         });
         owned
-            .clone()
-            .enumerate()
-            .map(|(slot, chunk)| {
+            .zip(back.gv.bufs().zip(back.ga.bufs()))
+            .map(|(chunk, (gv, ga))| {
                 (
                     chunk,
                     BackPartial {
-                        gv: gv_bufs[slot].clone(),
-                        ga: ga_bufs[slot].clone(),
+                        gv: gv.to_vec(),
+                        ga: ga.to_vec(),
                     },
                 )
             })
@@ -1829,40 +1935,15 @@ impl DpWorkerKernel {
     }
 }
 
-/// `Σ_n α_n |x_n − y_n|^p` with non-negativity clamping on `α`. Routes
-/// through the lane-chunked kernel in [`distance`], whose `p = 2` fast path
-/// (the paper's Gaussian-kernel default) is the vectorized `w·Δ²` form.
-#[inline]
-fn power_sum(x: &[f64], y: &[f64], alpha: &[f64], p: f64) -> f64 {
-    distance::weighted_power_sum(x, y, alpha, p)
-}
-
-/// `|Δ|^q` with a fast path for `q = 2`.
-#[inline]
-fn pow_abs(delta: f64, q: f64) -> f64 {
-    if q == 2.0 {
-        delta * delta
-    } else {
-        delta.abs().powf(q)
-    }
-}
-
-/// `|Δ|^q · sign(Δ)` with a fast path for `q = 1`.
+/// `|Δ|^q · sign(Δ)`, taken as `0` at `Δ = 0` (where `q = 0` would give
+/// `|0|^0 · sign(0) = 1`).
 #[inline]
 fn pow_abs_signed(delta: f64, q: f64) -> f64 {
-    if q == 1.0 {
-        delta
-    } else if delta == 0.0 {
+    if delta == 0.0 {
         0.0
     } else {
         delta.abs().powf(q) * delta.signum()
     }
-}
-
-/// Lane-chunked dot product (the softmax-Jacobian reduction of backprop).
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    distance::dot(a, b)
 }
 
 /// `acc += part`, element-wise. The reduction step of the parallel kernels.
@@ -2897,6 +2978,353 @@ mod tests {
             for (pair, &[si, sj]) in pairs[range.clone()].iter().zip(&index.slots[range.clone()]) {
                 assert_eq!((rows[si as usize], rows[sj as usize]), (pair.i, pair.j));
             }
+        }
+    }
+
+    /// The per-record kernels as they were before the distance choice left
+    /// the record loop: a per-distance `match`, `K` separate `dot`s, a
+    /// direct-path loop and a skipped distance path per prototype, and a
+    /// seed pass followed by a separate `sq_euclidean` pass. The oracle
+    /// the production kernels must match bit for bit.
+    mod reference {
+        use super::*;
+
+        fn pow_abs(delta: f64, q: f64) -> f64 {
+            if q == 2.0 {
+                delta * delta
+            } else {
+                delta.abs().powf(q)
+            }
+        }
+
+        fn pow_abs_signed(delta: f64, q: f64) -> f64 {
+            if q == 1.0 {
+                delta
+            } else if delta == 0.0 {
+                0.0
+            } else {
+                delta.abs().powf(q) * delta.signum()
+            }
+        }
+
+        pub(super) fn forward_chunk(
+            kern: &LossKernel,
+            x: &Matrix,
+            alpha: &[f64],
+            v: &[f64],
+            job: ForwardJob<'_>,
+        ) {
+            let (n, k) = (kern.n, kern.k);
+            let ForwardJob {
+                records,
+                dist,
+                u,
+                xt,
+            } = job;
+            xt.fill(0.0);
+            for (row, i) in records.enumerate() {
+                let xi = x.row(i);
+                let d_row = &mut dist[row * k..(row + 1) * k];
+                for (kk, d) in d_row.iter_mut().enumerate() {
+                    let vk = &v[kk * n..(kk + 1) * n];
+                    let s = distance::weighted_power_sum(xi, vk, alpha, kern.p);
+                    *d = match kern.softmax_distance {
+                        SoftmaxDistance::PowerSum => s,
+                        SoftmaxDistance::Rooted => s.powf(1.0 / kern.p),
+                    };
+                }
+                let d_min = d_row.iter().cloned().fold(f64::INFINITY, f64::min);
+                let u_row = &mut u[row * k..(row + 1) * k];
+                let mut z = 0.0;
+                for (uu, &d) in u_row.iter_mut().zip(d_row.iter()) {
+                    *uu = (d_min - d).exp();
+                    z += *uu;
+                }
+                for uu in u_row.iter_mut() {
+                    *uu /= z;
+                }
+                let xt_row = &mut xt[row * n..(row + 1) * n];
+                for (kk, &uu) in u_row.iter().enumerate() {
+                    let vk = &v[kk * n..(kk + 1) * n];
+                    for (o, &vkn) in xt_row.iter_mut().zip(vk) {
+                        *o += uu * vkn;
+                    }
+                }
+            }
+        }
+
+        pub(super) fn seed_g_xt(
+            kern: &LossKernel,
+            x: &[f64],
+            xt: &[f64],
+            g_xt: &mut [f64],
+            canonical: bool,
+        ) -> f64 {
+            if kern.lambda == 0.0 {
+                g_xt.fill(0.0);
+                return 0.0;
+            }
+            let zero = if canonical { 0.0 } else { -0.0 };
+            for ((g, &orig), &rec) in g_xt.iter_mut().zip(x).zip(xt) {
+                *g = 2.0 * kern.lambda * (rec - orig) + zero;
+            }
+            ifair_linalg::lanes::sq_euclidean(x, xt)
+        }
+
+        pub(super) fn backprop_chunk(
+            kern: &LossKernel,
+            x: &Matrix,
+            alpha: &[f64],
+            v: &[f64],
+            state: &ForwardState,
+            g_xt: &[f64],
+            job: BackpropJob<'_>,
+        ) {
+            let (n, k, p) = (kern.n, kern.k, kern.p);
+            let BackpropJob { records, gv, ga, c } = job;
+            gv.fill(0.0);
+            ga.fill(0.0);
+            for i in records {
+                let xi = x.row(i);
+                let gx_row = &g_xt[i * n..(i + 1) * n];
+                let u_row = &state.u[i * k..(i + 1) * k];
+                let d_row = &state.dist[i * k..(i + 1) * k];
+                let mut c_dot_u = 0.0;
+                for (kk, ck) in c.iter_mut().enumerate() {
+                    let vk = &v[kk * n..(kk + 1) * n];
+                    *ck = distance::dot(gx_row, vk);
+                    c_dot_u += u_row[kk] * *ck;
+                }
+                for kk in 0..k {
+                    let uk = u_row[kk];
+                    let b_k = uk * (c[kk] - c_dot_u);
+                    let vk = &v[kk * n..(kk + 1) * n];
+                    let gv_row = &mut gv[kk * n..(kk + 1) * n];
+                    for (o, &gx) in gv_row.iter_mut().zip(gx_row) {
+                        *o += uk * gx;
+                    }
+                    let gd = -b_k;
+                    if gd == 0.0 {
+                        continue;
+                    }
+                    match kern.softmax_distance {
+                        SoftmaxDistance::PowerSum => {
+                            for idx in 0..n {
+                                let delta = xi[idx] - vk[idx];
+                                gv_row[idx] += gd
+                                    * (-alpha[idx].max(0.0) * p * pow_abs_signed(delta, p - 1.0));
+                                if alpha[idx] >= 0.0 {
+                                    ga[idx] += gd * pow_abs(delta, p);
+                                }
+                            }
+                        }
+                        SoftmaxDistance::Rooted => {
+                            let d = d_row[kk];
+                            for idx in 0..n {
+                                gv_row[idx] +=
+                                    gd * distance::d_wrt_second(xi[idx], vk[idx], alpha[idx], p, d);
+                                if alpha[idx] >= 0.0 {
+                                    ga[idx] += gd * distance::d_wrt_alpha(xi[idx], vk[idx], p, d);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// One chunk's backprop accumulators `(gv, ga)` from `chunk_fn`.
+    fn backprop_buffers(
+        kern: &LossKernel,
+        records: Range<usize>,
+        chunk_fn: impl Fn(BackpropJob<'_>),
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (n, k) = (kern.n, kern.k);
+        // Stale contents: every chunk must zero its own accumulators.
+        let (mut gv, mut ga, mut c) = (vec![9.0; k * n], vec![9.0; n], vec![9.0; k]);
+        chunk_fn(BackpropJob {
+            records,
+            gv: &mut gv,
+            ga: &mut ga,
+            c: &mut c,
+        });
+        (gv, ga)
+    }
+
+    #[test]
+    fn record_kernels_are_bit_identical_to_the_reference_kernels() {
+        let m = 150; // three record chunks
+        let tiny = f64::from_bits(1); // 2λ(x̃ − x) underflows to ±0.0
+        let pools = [par::WorkerPool::new(2), par::WorkerPool::new(4)];
+        let mut cases = 0;
+        for (n, k) in [1, 3, 4, 17]
+            .into_iter()
+            .flat_map(|n| [1, 4, 7].map(|k| (n, k)))
+        {
+            let mut x = random_matrix(m, n, (n * 10 + k) as u64);
+            let mut theta = theta_at(n * (k + 1), (n * 100 + k) as u64);
+            // α with positive, zero and negative (clamped) entries.
+            for (j, a) in theta[..n].iter_mut().enumerate() {
+                *a = [*a, 0.0, -*a][j % 3];
+            }
+            // A record equal to a prototype: a zero distance and Δ = 0.
+            let v0 = theta[n..2 * n].to_vec();
+            x.row_mut(5).copy_from_slice(&v0);
+            for p in [1.0, 1.5, 2.0, 3.0] {
+                for softmax_distance in [SoftmaxDistance::PowerSum, SoftmaxDistance::Rooted] {
+                    for lambda in [0.7, tiny, 0.0] {
+                        let cfg = IFairConfig {
+                            p,
+                            softmax_distance,
+                            lambda,
+                            ..config(k)
+                        };
+                        let kern = LossKernel::from_config(n, &cfg);
+                        let label = format!("N={n} K={k} p={p} {softmax_distance:?} λ={lambda}");
+                        check_record_kernels(&kern, &x, &theta, &pools, &label);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 12 * 4 * 2 * 3);
+    }
+
+    fn check_record_kernels(
+        kern: &LossKernel,
+        x: &Matrix,
+        theta: &[f64],
+        pools: &[par::WorkerPool],
+        label: &str,
+    ) {
+        let (m, n, k) = (x.rows(), kern.n, kern.k);
+        let (alpha, v) = kern.unpack(theta);
+        let layout = record_chunk_layout(m);
+        assert!(layout.len() > 1, "{label}: several record chunks");
+
+        // Forward: the reference chunk by chunk, against the serial and
+        // pooled passes.
+        let mut fwd = ForwardState::new(m, n, k);
+        for (((records, dist), u), xt) in layout
+            .iter()
+            .cloned()
+            .zip(split_chunks(&mut fwd.dist, &layout, k))
+            .zip(split_chunks(&mut fwd.u, &layout, k))
+            .zip(split_chunks(&mut fwd.xt, &layout, n))
+        {
+            reference::forward_chunk(
+                kern,
+                x,
+                alpha,
+                v,
+                ForwardJob {
+                    records,
+                    dist,
+                    u,
+                    xt,
+                },
+            );
+        }
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let mut got = ForwardState::new(m, n, k);
+            kern.forward_into(x, alpha, v, &mut got, pool);
+            let lanes = pool.map_or(1, |p| p.lanes());
+            assert_eq!(
+                bits(&got.dist),
+                bits(&fwd.dist),
+                "{label}: dist, {lanes} lanes"
+            );
+            assert_eq!(bits(&got.u), bits(&fwd.u), "{label}: u, {lanes} lanes");
+            assert_eq!(bits(&got.xt), bits(&fwd.xt), "{label}: x̃, {lanes} lanes");
+        }
+
+        // Seed and utility sum.
+        let mut g_want = vec![0.0; m * n];
+        let mut g_got = vec![0.0; m * n];
+        for canonical in [false, true] {
+            let sum_want =
+                reference::seed_g_xt(kern, x.as_slice(), &fwd.xt, &mut g_want, canonical);
+            let sum_got = kern.seed_g_xt(x.as_slice(), &fwd.xt, &mut g_got, canonical);
+            assert_eq!(
+                sum_got.to_bits(),
+                sum_want.to_bits(),
+                "{label}: utility sum"
+            );
+            assert_eq!(
+                bits(&g_got),
+                bits(&g_want),
+                "{label}: seed, canonical {canonical}"
+            );
+        }
+
+        // Backprop from a ∂L/∂x̃ with whole zero rows (every `∂L/∂D` is
+        // ±0 there), rows holding −0.0, and rows of arbitrary values.
+        let mut rng = StdRng::seed_from_u64(m as u64 + n as u64);
+        for (i, row) in g_want.chunks_exact_mut(n).enumerate() {
+            match i % 4 {
+                1 => row.fill(0.0),
+                2 => row.iter_mut().for_each(|g| *g = rng.gen_range(-2.0..2.0)),
+                3 => row[0] = -0.0,
+                _ => {}
+            }
+        }
+        let g_xt = &g_want;
+        let mut grad_want = vec![0.0; kern.dim()];
+        for records in &layout {
+            let want = backprop_buffers(kern, records.clone(), |job| {
+                reference::backprop_chunk(kern, x, alpha, v, &fwd, g_xt, job)
+            });
+            let got = backprop_buffers(kern, records.clone(), |job| {
+                kern.backprop_chunk(x, alpha, v, &fwd, g_xt, job)
+            });
+            assert_eq!(bits(&got.0), bits(&want.0), "{label}: gv of {records:?}");
+            assert_eq!(bits(&got.1), bits(&want.1), "{label}: ga of {records:?}");
+            let (g_alpha, g_v) = grad_want.split_at_mut(n);
+            add_assign(g_v, &want.0);
+            add_assign(g_alpha, &want.1);
+        }
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let mut grad = vec![0.0; kern.dim()];
+            let mut scratch = Workspace::new(m, n, k).back;
+            kern.backprop_into(x, alpha, v, &fwd, g_xt, &mut grad, &mut scratch, pool);
+            let lanes = pool.map_or(1, |p| p.lanes());
+            assert_eq!(
+                bits(&grad),
+                bits(&grad_want),
+                "{label}: gradient, {lanes} lanes"
+            );
+        }
+    }
+
+    #[test]
+    fn chunk_scratch_buffers_never_share_a_cache_line() {
+        let mut scratch = ChunkScratch::new();
+        for (count, len) in [(64, 4), (8, 17), (3, 1), (64, 68), (1, 0), (5, 9)] {
+            let lines: Vec<Range<usize>> = scratch
+                .take(count, len)
+                .map(|buf| {
+                    assert_eq!(buf.len(), len);
+                    let start = buf.as_ptr() as usize;
+                    // The 64-byte lines the buffer's bytes fall in (at
+                    // least the one its address is in, when empty).
+                    start / 64..(start + (len * 8).max(1) - 1) / 64 + 1
+                })
+                .collect();
+            assert_eq!(lines.len(), count);
+            for (a, la) in lines.iter().enumerate() {
+                for lb in &lines[a + 1..] {
+                    assert!(
+                        la.end <= lb.start || lb.end <= la.start,
+                        "count {count}, len {len}: lines {la:?} and {lb:?} overlap"
+                    );
+                }
+            }
+            assert_eq!(scratch.bufs().count(), count);
         }
     }
 }

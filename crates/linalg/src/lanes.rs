@@ -212,6 +212,51 @@ pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
     T::lanes_dot(a, b)
 }
 
+/// Prototypes whose dot products [`dot_rows`] accumulates in one pass.
+const DOT_ROWS_GROUP: usize = 4;
+
+/// The dot product of `a` with each `a.len()`-wide row of the row-major
+/// `rows`, written to `out` (one entry per row).
+///
+/// Every product keeps its own [`LANES`] accumulators, fold and sequential
+/// tail, so `out[k]` is bit-identical to [`dot`]`(a, row k)` on every
+/// backend. Up to four rows share each pass over `a`, which is what makes
+/// this cheaper than `K` separate calls.
+///
+/// # Panics
+/// Panics if `rows.len() != a.len() · out.len()`.
+#[inline]
+pub fn dot_rows<T: Real>(a: &[T], rows: &[T], out: &mut [T]) {
+    let n = a.len();
+    assert_eq!(rows.len(), n * out.len(), "dot_rows: shape mismatch");
+    if n == 0 {
+        out.fill(T::ZERO);
+        return;
+    }
+    let split = n - n % LANES;
+    for (out, rows) in out
+        .chunks_mut(DOT_ROWS_GROUP)
+        .zip(rows.chunks(DOT_ROWS_GROUP * n))
+    {
+        let mut acc = [[T::ZERO; LANES]; DOT_ROWS_GROUP];
+        for (j, ca) in a[..split].chunks_exact(LANES).enumerate() {
+            for (acc, row) in acc.iter_mut().zip(rows.chunks_exact(n)) {
+                let cb = &row[j * LANES..(j + 1) * LANES];
+                for l in 0..LANES {
+                    acc[l] += ca[l] * cb[l];
+                }
+            }
+        }
+        for ((o, acc), row) in out.iter_mut().zip(&acc).zip(rows.chunks_exact(n)) {
+            let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+            for (&x, &y) in a[split..].iter().zip(&row[split..]) {
+                sum += x * y;
+            }
+            *o = sum;
+        }
+    }
+}
+
 /// Dispatched lane-chunked squared Euclidean distance.
 #[inline]
 pub fn sq_euclidean<T: Real>(a: &[T], b: &[T]) -> T {
@@ -224,12 +269,20 @@ pub fn euclidean<T: Real>(a: &[T], b: &[T]) -> T {
     T::lanes_sq_euclidean(a, b).sqrt()
 }
 
+/// Dispatched weighted squared distance `Σ max(w,0)·(a−b)²`: the `p = 2`
+/// power sum, for loops that fix `p = 2` ahead of time (no `powf` in
+/// reach).
+#[inline]
+pub fn weighted_sq_sum<T: Real>(a: &[T], b: &[T], w: &[T]) -> T {
+    T::lanes_weighted_sq_sum(a, b, w)
+}
+
 /// Dispatched weighted Minkowski power sum `Σ max(w,0)·|a−b|^p`, with the
 /// vectorized `p = 2` fast path.
 #[inline]
 pub fn weighted_power_sum<T: Real>(a: &[T], b: &[T], w: &[T], p: T) -> T {
     if p == T::from_f64(2.0) {
-        T::lanes_weighted_sq_sum(a, b, w)
+        weighted_sq_sum(a, b, w)
     } else {
         scalar::weighted_power_sum(a, b, w, p)
     }
@@ -293,6 +346,22 @@ mod tests {
             let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
             let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
             assert_eq!(dot(&a32, &b32).to_bits(), scalar::dot(&a32, &b32).to_bits());
+        }
+    }
+
+    #[test]
+    fn dot_rows_is_bit_identical_to_one_dot_per_row() {
+        for n in SIZES {
+            for k in [1, 3, 4, 5, 9] {
+                let (a, _, _) = inputs(n);
+                let rows: Vec<f64> = (0..n * k).map(|i| (i as f64 * 0.29).cos()).collect();
+                let mut out = vec![f64::NAN; k];
+                dot_rows(&a, &rows, &mut out);
+                for (kk, got) in out.iter().enumerate() {
+                    let want = dot(&a, &rows[kk * n..(kk + 1) * n]);
+                    assert_eq!(got.to_bits(), want.to_bits(), "n={n} k={k} row {kk}");
+                }
+            }
         }
     }
 
