@@ -485,17 +485,11 @@ impl LossKernel {
     ///
     /// The softmax distance is chosen here, once per chunk. Inside the
     /// record loop, LLVM if-converts a per-distance `match` and evaluates
-    /// the `Rooted` arm's `powf` for every `PowerSum` distance too. The
-    /// `PowerSum`, `p = 2` default gets a loop of its own that calls the
-    /// `w·Δ²` kernel directly (the one `distance::weighted_power_sum`
-    /// picks at `p = 2`), so no libm call but `exp` is reachable from it.
+    /// the `Rooted` arm's `powf` for every `PowerSum` distance too.
     fn forward_chunk(&self, x: &Matrix, alpha: &[f64], v: &[f64], job: ForwardJob<'_>) {
         let p = self.p;
         let power_sum = |xi: &[f64], vk: &[f64]| distance::weighted_power_sum(xi, vk, alpha, p);
         match self.softmax_distance {
-            SoftmaxDistance::PowerSum if p == 2.0 => {
-                self.forward_records(x, v, job, |xi, vk| lanes::weighted_sq_sum(xi, vk, alpha))
-            }
             SoftmaxDistance::PowerSum => self.forward_records(x, v, job, power_sum),
             SoftmaxDistance::Rooted => {
                 let inv_p = 1.0 / p;
@@ -892,10 +886,11 @@ impl LossKernel {
     /// product scratch, reused across the chunk's records.
     ///
     /// The `PowerSum`, `p = 2` default fuses the direct and distance paths
-    /// into one branch-free element loop; every other configuration keeps
-    /// the general per-element formulas. The choice is one predictable
-    /// branch per prototype between two loops, which LLVM cannot speculate
-    /// into a select the way it does a per-distance `match`.
+    /// into one branch-free element loop wherever `∂L/∂D ≠ 0`; every other
+    /// configuration keeps the general per-element formulas. The choice is
+    /// one predictable branch per prototype between two loops, which LLVM
+    /// cannot speculate into a select the way it does a per-distance
+    /// `match`.
     fn backprop_chunk(
         &self,
         x: &Matrix,
@@ -933,15 +928,14 @@ impl LossKernel {
                 let vk = &v[kk * n..(kk + 1) * n];
                 let gv_row = &mut gv[kk * n..(kk + 1) * n];
                 // Direct path ∂x̃_in/∂v_kn = u_ik, then the distance path
-                // ∂L/∂D_ik = −b_k.
+                // ∂L/∂D_ik = −b_k, skipped at `gd = ±0` (where `±0·Δ²` is
+                // NaN once a distant record's `Δ²` overflows).
                 let gd = -b_k;
-                if fused {
+                if fused && gd != 0.0 {
                     // ∂S/∂v_n = −α_n p Δ_n and ∂S/∂α_n = Δ_n². A clamped
                     // `α_n < 0` adds `−0.0` to its weight gradient, which
                     // changes no value, where the general loop skips the
-                    // add. At `gd = ±0` the general loop skips both adds;
-                    // here they add `±0.0` to accumulators that started at
-                    // `+0.0` and so never hold a `−0.0`: no change either.
+                    // add.
                     let (xi, vk, gx_row) = (&xi[..n], &vk[..n], &gx_row[..n]);
                     for j in 0..n {
                         let delta = xi[j] - vk[j];
@@ -1447,8 +1441,11 @@ impl MiniBatchObjective {
         // Distinct record indices, ascending: dense draws shuffle a
         // persistent permutation (a Fisher-Yates prefix is uniform from any
         // starting arrangement) and sort its prefix; sparse draws reject
-        // duplicates against a persistent bit set, then read it out in
-        // order, clearing each word as they go.
+        // duplicates against a persistent bit set. When the set has no more
+        // words than the batch has records, reading it out in order (and
+        // clearing each word) costs less than the sort; otherwise the bits
+        // are cleared through the drawn indices and those are sorted, so a
+        // step never costs more than O(B log B) whatever M is.
         state.indices.clear();
         if b >= m {
             state.indices.extend(0..m);
@@ -1464,21 +1461,28 @@ impl MiniBatchObjective {
             state.indices.sort_unstable();
         } else {
             state.drawn.resize(m.div_ceil(64), 0);
-            let mut accepted = 0;
-            while accepted < b {
+            while state.indices.len() < b {
                 let i = rng.gen_range(0..m);
                 let (word, bit) = (&mut state.drawn[i / 64], 1u64 << (i % 64));
                 if *word & bit == 0 {
                     *word |= bit;
-                    accepted += 1;
+                    state.indices.push(i);
                 }
             }
-            for (w, word) in state.drawn.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    state.indices.push(w * 64 + bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
+            if state.drawn.len() <= b {
+                state.indices.clear();
+                for (w, word) in state.drawn.iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        state.indices.push(w * 64 + bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
                 }
+            } else {
+                for &i in &state.indices {
+                    state.drawn[i / 64] = 0;
+                }
+                state.indices.sort_unstable();
             }
         }
 
@@ -2555,14 +2559,18 @@ mod tests {
 
     #[test]
     fn sparse_record_draws_match_a_hash_set_reference() {
-        // (M, B, seed) with 2B < M: the sparse record draw. No pairs, so
-        // the record draws are the sampler's only RNG use.
+        // (M, B, seed) with 2B < M: the sparse record draw, read out of
+        // the bit set when ⌈M/64⌉ ≤ B and sorted otherwise (both sides of
+        // the cut, at it and one word past it). No pairs, so the record
+        // draws are the sampler's only RNG use.
         for (m, b, seed) in [
             (1_000, 10, 1),
             (1_000, 499, 2),
             (130, 64, 3),
             (4_096, 64, 4),
+            (4_097, 64, 6),
             (100_003, 2_048, 5),
+            (100_003, 256, 7),
         ] {
             let mut x = Matrix::zeros(m, 1);
             let cfg = IFairConfig {
@@ -3175,24 +3183,37 @@ mod tests {
             // A record equal to a prototype: a zero distance and Δ = 0.
             let v0 = theta[n..2 * n].to_vec();
             x.row_mut(5).copy_from_slice(&v0);
-            for p in [1.0, 1.5, 2.0, 3.0] {
-                for softmax_distance in [SoftmaxDistance::PowerSum, SoftmaxDistance::Rooted] {
-                    for lambda in [0.7, tiny, 0.0] {
-                        let cfg = IFairConfig {
-                            p,
-                            softmax_distance,
-                            lambda,
-                            ..config(k)
-                        };
-                        let kern = LossKernel::from_config(n, &cfg);
-                        let label = format!("N={n} K={k} p={p} {softmax_distance:?} λ={lambda}");
-                        check_record_kernels(&kern, &x, &theta, &pools, &label);
-                        cases += 1;
+            let mut inputs = vec![(x, theta, "")];
+            if k > 1 {
+                // The last prototype 1e160 from every record but one on a
+                // feature with α > 0: Δ² overflows and u = 0, so ∂L/∂D = ±0
+                // where ±0·Δ² would be NaN.
+                let (mut x, mut theta) = (inputs[0].0.clone(), inputs[0].1.clone());
+                theta[k * n] = 1e160;
+                x.row_mut(9).copy_from_slice(&theta[k * n..]);
+                inputs.push((x, theta, " far prototype"));
+            }
+            for (x, theta, tag) in &inputs {
+                for p in [1.0, 1.5, 2.0, 3.0] {
+                    for softmax_distance in [SoftmaxDistance::PowerSum, SoftmaxDistance::Rooted] {
+                        for lambda in [0.7, tiny, 0.0] {
+                            let cfg = IFairConfig {
+                                p,
+                                softmax_distance,
+                                lambda,
+                                ..config(k)
+                            };
+                            let kern = LossKernel::from_config(n, &cfg);
+                            let label =
+                                format!("N={n} K={k} p={p} {softmax_distance:?} λ={lambda}{tag}");
+                            check_record_kernels(&kern, x, theta, &pools, &label);
+                            cases += 1;
+                        }
                     }
                 }
             }
         }
-        assert_eq!(cases, 12 * 4 * 2 * 3);
+        assert_eq!(cases, (12 + 8) * 4 * 2 * 3);
     }
 
     fn check_record_kernels(

@@ -269,20 +269,12 @@ pub fn euclidean<T: Real>(a: &[T], b: &[T]) -> T {
     T::lanes_sq_euclidean(a, b).sqrt()
 }
 
-/// Dispatched weighted squared distance `Σ max(w,0)·(a−b)²`: the `p = 2`
-/// power sum, for loops that fix `p = 2` ahead of time (no `powf` in
-/// reach).
-#[inline]
-pub fn weighted_sq_sum<T: Real>(a: &[T], b: &[T], w: &[T]) -> T {
-    T::lanes_weighted_sq_sum(a, b, w)
-}
-
 /// Dispatched weighted Minkowski power sum `Σ max(w,0)·|a−b|^p`, with the
 /// vectorized `p = 2` fast path.
 #[inline]
 pub fn weighted_power_sum<T: Real>(a: &[T], b: &[T], w: &[T], p: T) -> T {
     if p == T::from_f64(2.0) {
-        weighted_sq_sum(a, b, w)
+        T::lanes_weighted_sq_sum(a, b, w)
     } else {
         scalar::weighted_power_sum(a, b, w, p)
     }
