@@ -11,6 +11,9 @@
 //! usefulness means the certified fraction is nonzero somewhere on the
 //! grid, which is asserted too.
 //!
+//! The `certify/k16n17/*` rows time the shape the benchmark serves: 64
+//! rows at ε = 0.01 on a K = 16, N = 17 model, on 1 and 2 lanes.
+//!
 //! `IFAIR_BENCH_SMOKE=1` shrinks sizes for CI; `IFAIR_BENCH_JSON=1` writes
 //! `BENCH_certification.json` for the perf-trajectory delta table.
 
@@ -49,6 +52,7 @@ fn main() {
 
     certified_vs_empirical(&model, &x, samples);
     certify_timing(&mut report, &model, &x, warmup, iters);
+    served_shape_timing(&mut report, warmup, iters);
 
     if let Some(path) = report.write_if_enabled().expect("bench JSON writes") {
         println!("\nwrote {path}");
@@ -210,4 +214,42 @@ fn certify_timing(
         "\nserial median per record: {}",
         fmt_duration(serial.median / x.rows() as u32)
     );
+}
+
+/// `certify_rows` at the served shape: 64 rows at ε = 0.01 on a K = 16,
+/// N = 17 model built from seeded parts (no fit, so the smoke run stays
+/// fast), on a 1-lane and a 2-lane pool.
+fn served_shape_timing(report: &mut BenchReport, warmup: usize, iters: usize) {
+    let (k, n, rows, eps) = (16, 17, 64, 0.01);
+    let mut rng = StdRng::seed_from_u64(0x5e27_ed17);
+    let mut draw = |len: usize, lo: f64, hi: f64| -> Vec<f64> {
+        (0..len).map(|_| rng.gen_range(lo..hi)).collect()
+    };
+    let protos = Matrix::from_vec(k, n, draw(k * n, -1.5, 1.5)).expect("K x N prototypes");
+    let alpha = draw(n, 0.0, 1.5);
+    let x = Matrix::from_vec(rows, n, draw(rows * n, -1.5, 1.5)).expect("request rows");
+    let config = IFairConfig {
+        k,
+        ..Default::default()
+    };
+    let model =
+        IFair::from_parts(protos, alpha, vec![false; n], config).expect("seeded parts build");
+    table_header(&format!(
+        "certify_rows at the served shape (k={k}, n={n}, rows={rows}, eps={eps})"
+    ));
+    for threads in [1usize, 2] {
+        let pool = WorkerPool::new(threads);
+        let m = bench(
+            &format!("certify/k{k}n{n}/t{threads}"),
+            warmup,
+            iters,
+            || {
+                model
+                    .certify_rows(&x, eps, Some(&pool))
+                    .expect("served-shape rows certify")
+                    .len()
+            },
+        );
+        report.push(&m);
+    }
 }

@@ -39,27 +39,41 @@
 //! * every interval endpoint is nudged one representable value outward
 //!   after each elementary operation ([`next_up_f64`] / [`next_down_f64`]
 //!   and the `f32` analogues), which absorbs the round-to-nearest error of
-//!   that operation, and
+//!   that operation. At `p = 2` the power `|Δ|²` is one IEEE
+//!   multiplication, which is correctly rounded, so its single outward
+//!   step covers the exact square and the `p = 2` path calls no `powf`;
+//!   and
 //! * the final δ is inflated by a terminal relative + absolute slack
 //!   (`REL_SLACK` / `ABS_SLACK` per precision) that dominates what the
-//!   per-op nudges do not strictly cover: multi-ulp libm error in
-//!   `powf`/`exp` and the re-association difference between this module's
-//!   sequential sums and the lane-chunked kernels the real transform uses.
-//!   The slack is orders of magnitude above the worst case of either
-//!   source and orders of magnitude below any useful δ, so certificates
-//!   stay sound *and* non-vacuous.
+//!   per-op nudges do not strictly cover: multi-ulp libm error in `exp`
+//!   at every `p`, in `powf` for general `p` and in the `Rooted`
+//!   distance's `1/p` root, and the re-association difference between
+//!   this module's sequential sums and the lane-chunked kernels the real
+//!   transform uses. The slack is orders of magnitude above the worst case
+//!   of either source and orders of magnitude below any useful δ, so
+//!   certificates stay sound *and* non-vacuous.
 //!
-//! The per-row computation is a pure function of the row, so batch
-//! certification rides the same fixed chunk layout as
-//! [`IFair::transform_on`] and is bit-identical at every pool size.
+//! Batch certification splits the rows into chunks of at most
+//! `CERTIFY_CHUNK_ROWS` (8) rows, far smaller than the transform's: a
+//! certified row costs tens of transformed rows, and a 64-row request must
+//! still spread over every lane of the pool. Each certificate is a pure
+//! function of its row's box, so certificates are bit-identical at every
+//! pool size.
 
 use crate::config::SoftmaxDistance;
-use crate::model::{TRANSFORM_CHUNK_ROWS, TRANSFORM_MAX_CHUNKS};
+use crate::model::TRANSFORM_MAX_CHUNKS;
 use crate::par;
 use crate::{IFair, IFairF32};
 use ifair_api::{check_epsilon, shape_error, CertifyError, FitError};
 use ifair_linalg::Matrix;
 use serde::{Deserialize, Serialize};
+
+/// Row-chunk layout of batch certification: at most this many rows per
+/// chunk, capped at [`TRANSFORM_MAX_CHUNKS`] chunks — a fixed function of
+/// the row count, never of the pool size. Much smaller than the
+/// transform's 64-row chunk, so that one 64-row request becomes 8 chunks
+/// the pool's shared cursor spreads over every lane.
+pub(crate) const CERTIFY_CHUNK_ROWS: usize = 8;
 
 /// Kind tag of the versioned JSON envelope written by
 /// [`Certificate::to_json`].
@@ -208,6 +222,7 @@ fn next_down_f32(x: f32) -> f32 {
 trait CertFloat: Copy + PartialOrd {
     const ZERO: Self;
     const ONE: Self;
+    const TWO: Self;
     /// Terminal relative slack on δ (dominates libm error and summation
     /// re-association; see the module docs).
     const REL_SLACK: Self;
@@ -230,6 +245,7 @@ trait CertFloat: Copy + PartialOrd {
 impl CertFloat for f64 {
     const ZERO: f64 = 0.0;
     const ONE: f64 = 1.0;
+    const TWO: f64 = 2.0;
     const REL_SLACK: f64 = 1e-12;
     const ABS_SLACK: f64 = 1e-12;
     fn up(self) -> f64 {
@@ -264,6 +280,7 @@ impl CertFloat for f64 {
 impl CertFloat for f32 {
     const ZERO: f32 = 0.0;
     const ONE: f32 = 1.0;
+    const TWO: f32 = 2.0;
     // f32 per-op error is ~6e-8 relative; chains through the forward map
     // are a few hundred ops, so 1e-4 relative + 1e-5 absolute leaves two
     // to three orders of magnitude of margin while staying far below any
@@ -386,6 +403,11 @@ impl<T> CertArith for T where
 /// The per-row kernel: certified δ for the input box `[lo, hi]` (slices of
 /// length `n`), with scratch buffers `d`/`e`/`u` of length `k` supplied by
 /// the caller so batch loops allocate once per chunk.
+///
+/// The bounds on `|Δ|^p` are chosen here, once per call, never inside the
+/// (prototype, feature) loop. At `p = 2` the square is one correctly
+/// rounded multiplication, so one outward step bounds it exactly and no
+/// libm call is made; any other `p` pays two `powf` calls per term.
 fn box_delta<T: CertArith>(
     m: &CertModel<T>,
     lo: &[T],
@@ -393,6 +415,36 @@ fn box_delta<T: CertArith>(
     d: &mut [(T, T)],
     e: &mut [(T, T)],
     u: &mut [(T, T)],
+) -> BoxCertificate {
+    if m.p == T::TWO {
+        box_delta_with(m, lo, hi, d, e, u, |a| (a * a).down(), |a| (a * a).up())
+    } else {
+        let p = m.p;
+        box_delta_with(
+            m,
+            lo,
+            hi,
+            d,
+            e,
+            u,
+            |a| a.powf_v(p).down(),
+            |a| a.powf_v(p).up(),
+        )
+    }
+}
+
+/// [`box_delta`] with the `|Δ|^p` bounds fixed: `pow_lo(a) ≤ a^p ≤
+/// pow_hi(a)` for every `a ≥ 0`.
+#[allow(clippy::too_many_arguments)]
+fn box_delta_with<T: CertArith>(
+    m: &CertModel<T>,
+    lo: &[T],
+    hi: &[T],
+    d: &mut [(T, T)],
+    e: &mut [(T, T)],
+    u: &mut [(T, T)],
+    pow_lo: impl Fn(T) -> T,
+    pow_hi: impl Fn(T) -> T,
 ) -> BoxCertificate {
     // 1. Interval distances to every prototype.
     for (kk, dk) in d.iter_mut().enumerate() {
@@ -413,8 +465,8 @@ fn box_delta<T: CertArith>(
             };
             let amax = m1.max_v(m2).up();
             // α_n |Δ|^p, monotone in |Δ| for |Δ| ≥ 0, p > 0.
-            let t_lo = (a * amin.powf_v(m.p).down()).down().max_v(T::ZERO);
-            let t_hi = (a * amax.powf_v(m.p).up()).up();
+            let t_lo = (a * pow_lo(amin)).down().max_v(T::ZERO);
+            let t_hi = (a * pow_hi(amax)).up();
             s_lo = (s_lo + t_lo).down().max_v(T::ZERO);
             s_hi = (s_hi + t_hi).up();
         }
@@ -520,19 +572,37 @@ fn check_boxes(lo: &Matrix, hi: &Matrix, n: usize) -> Result<(), CertifyError> {
         ))
         .into());
     }
-    for (&l, &h) in lo.as_slice().iter().zip(hi.as_slice()) {
-        if !l.is_finite() || !h.is_finite() {
-            return Err(shape_error("box bounds contain non-finite values").into());
-        }
-        if l > h {
-            return Err(shape_error("box lower bound exceeds upper bound").into());
-        }
+    check_box_finite(lo, hi)?;
+    if lo.as_slice().iter().zip(hi.as_slice()).any(|(l, h)| l > h) {
+        return Err(shape_error("box lower bound exceeds upper bound").into());
     }
     Ok(())
 }
 
-/// Builds the `[x − ε, x + ε]` box matrices with outward rounding.
-fn eps_box(x: &Matrix, eps: f64) -> (Matrix, Matrix) {
+/// Rejects a box with a non-finite endpoint — what a finite row becomes
+/// when `x ± ε`, or a scaler stage's image of it, overflows `f64`.
+pub fn check_box_finite(lo: &Matrix, hi: &Matrix) -> Result<(), CertifyError> {
+    if lo
+        .as_slice()
+        .iter()
+        .chain(hi.as_slice())
+        .any(|v| !v.is_finite())
+    {
+        return Err(shape_error(
+            "the certification box has a non-finite endpoint: a row value or eps \
+             is too large for the model's input space",
+        )
+        .into());
+    }
+    Ok(())
+}
+
+/// The box `[x − ε, x + ε]` around every row of `x`, each endpoint rounded
+/// one step outward — the region [`IFair::certify_rows`] certifies.
+/// Rejects a malformed radius, non-finite rows and a box that overflows.
+pub fn eps_box(x: &Matrix, eps: f64) -> Result<(Matrix, Matrix), CertifyError> {
+    check_epsilon(eps)?;
+    check_rows_finite(x)?;
     let (rows, cols) = x.shape();
     let mut lo = Matrix::zeros(rows, cols);
     let mut hi = Matrix::zeros(rows, cols);
@@ -545,7 +615,8 @@ fn eps_box(x: &Matrix, eps: f64) -> (Matrix, Matrix) {
         *l = next_down_f64(v - eps);
         *h = next_up_f64(v + eps);
     }
-    (lo, hi)
+    check_box_finite(&lo, &hi)?;
+    Ok((lo, hi))
 }
 
 fn check_rows_finite(x: &Matrix) -> Result<(), CertifyError> {
@@ -555,9 +626,9 @@ fn check_rows_finite(x: &Matrix) -> Result<(), CertifyError> {
     Ok(())
 }
 
-/// Certifies every row box of (`lo`, `hi`) against `cm`, fanning chunks
-/// out over `pool` with the same fixed layout as the transform hot path —
-/// bit-identical results at every pool size.
+/// Certifies every row box of (`lo`, `hi`) against `cm`, fanning the fixed
+/// [`CERTIFY_CHUNK_ROWS`] chunks out over `pool` — bit-identical results at
+/// every pool size.
 fn certify_boxes_on<T: CertArith + Send + Sync>(
     cm: &CertModel<T>,
     lo: &Matrix,
@@ -576,7 +647,7 @@ fn certify_boxes_on<T: CertArith + Send + Sync>(
     if m == 0 {
         return out;
     }
-    let n_chunks = m.div_ceil(TRANSFORM_CHUNK_ROWS).min(TRANSFORM_MAX_CHUNKS);
+    let n_chunks = m.div_ceil(CERTIFY_CHUNK_ROWS).min(TRANSFORM_MAX_CHUNKS);
     let ranges = par::chunk_ranges(m, n_chunks);
     let mut rest = out.as_mut_slice();
     let mut jobs = Vec::with_capacity(ranges.len());
@@ -680,17 +751,15 @@ impl IFair {
     }
 
     /// [`IFair::certify`] over every row of `x`, fanned out over `pool`
-    /// with the transform hot path's fixed chunk layout — certificates are
-    /// bit-identical at every pool size, including `None`.
+    /// in fixed row chunks — certificates are bit-identical at every pool
+    /// size, including `None`.
     pub fn certify_rows(
         &self,
         x: &Matrix,
         eps: f64,
         pool: Option<&par::WorkerPool>,
     ) -> Result<Vec<Certificate>, CertifyError> {
-        check_epsilon(eps)?;
-        check_rows_finite(x)?;
-        let (lo, hi) = eps_box(x, eps);
+        let (lo, hi) = eps_box(x, eps)?;
         let boxes = self.certify_boxes(&lo, &hi, pool)?;
         Ok(boxes
             .into_iter()
@@ -772,9 +841,7 @@ impl IFairF32 {
         eps: f64,
         pool: Option<&par::WorkerPool>,
     ) -> Result<Vec<Certificate>, CertifyError> {
-        check_epsilon(eps)?;
-        check_rows_finite(x)?;
-        let (lo, hi) = eps_box(x, eps);
+        let (lo, hi) = eps_box(x, eps)?;
         let boxes = self.certify_boxes(&lo, &hi, pool)?;
         Ok(boxes
             .into_iter()
@@ -903,7 +970,7 @@ mod tests {
             assert_eq!(serial, pooled, "lanes={lanes}");
         }
         // Boxes built by hand match the eps path bit for bit.
-        let (lo, hi) = eps_box(&x, eps);
+        let (lo, hi) = eps_box(&x, eps).unwrap();
         let boxes = model.certify_boxes(&lo, &hi, None).unwrap();
         for (c, b) in serial.iter().zip(&boxes) {
             assert_eq!(c.delta.to_bits(), b.delta.to_bits());
@@ -968,9 +1035,11 @@ mod tests {
             model.certify_dataset(&x, &[], &[0.1], None),
             Err(CertifyError::Epsilon(_))
         ));
-        // Inverted boxes are rejected.
-        let (lo, hi) = eps_box(&x, 0.1);
+        // Inverted boxes are rejected, and so is a finite radius whose box
+        // overflows (`x + f64::MAX` rounds to `f64::MAX`, one step up is +inf).
+        let (lo, hi) = eps_box(&x, 0.1).unwrap();
         assert!(model.certify_boxes(&hi, &lo, None).is_err());
+        assert!(matches!(eps_box(&x, f64::MAX), Err(CertifyError::Model(_))));
     }
 
     #[test]
@@ -1012,5 +1081,296 @@ mod tests {
         assert!(next_up_f64(-1.0) > -1.0);
         assert_eq!(next_up_f64(f64::INFINITY), f64::INFINITY);
         assert!(next_up_f64(f64::NAN).is_nan());
+    }
+
+    /// `box_delta` as it was before the `|Δ|^p` bounds were chosen once per
+    /// call: two `powf` calls per (prototype, feature) term at every `p`.
+    /// The oracle the production kernel must match — bit for bit at
+    /// `p ≠ 2`, and within the terminal slack at `p = 2`, where `x·x` is
+    /// correctly rounded but libm's `pow(x, 2)` need not be.
+    mod reference {
+        use super::*;
+
+        pub(super) fn box_delta<T: CertArith>(
+            m: &CertModel<T>,
+            lo: &[T],
+            hi: &[T],
+            d: &mut [(T, T)],
+            e: &mut [(T, T)],
+            u: &mut [(T, T)],
+        ) -> BoxCertificate {
+            for (kk, dk) in d.iter_mut().enumerate() {
+                let mut s_lo = T::ZERO;
+                let mut s_hi = T::ZERO;
+                for c in 0..m.n {
+                    let v = protos_at(&m.protos, kk, m.n, c);
+                    let a = m.alpha[c];
+                    let m1 = (lo[c] - v).abs_v();
+                    let m2 = (hi[c] - v).abs_v();
+                    let amin = if lo[c] <= v && v <= hi[c] {
+                        T::ZERO
+                    } else {
+                        m1.min_v(m2).down().max_v(T::ZERO)
+                    };
+                    let amax = m1.max_v(m2).up();
+                    let t_lo = (a * amin.powf_v(m.p).down()).down().max_v(T::ZERO);
+                    let t_hi = (a * amax.powf_v(m.p).up()).up();
+                    s_lo = (s_lo + t_lo).down().max_v(T::ZERO);
+                    s_hi = (s_hi + t_hi).up();
+                }
+                if m.rooted {
+                    let inv_p = T::ONE / m.p;
+                    s_lo = s_lo.powf_v(inv_p).down().down().max_v(T::ZERO);
+                    s_hi = s_hi.powf_v(inv_p).up().up();
+                }
+                *dk = (s_lo, s_hi);
+            }
+            let c = d
+                .iter()
+                .map(|&(lo, _)| lo)
+                .fold(None::<T>, |acc, v| {
+                    Some(match acc {
+                        None => v,
+                        Some(a) => a.min_v(v),
+                    })
+                })
+                .unwrap_or(T::ZERO);
+            for (ek, &(d_lo, d_hi)) in e.iter_mut().zip(d.iter()) {
+                let e_lo = (c - d_hi).down().exp_v().down().max_v(T::ZERO);
+                let e_hi = (c - d_lo).up().exp_v().up();
+                *ek = (e_lo, e_hi);
+            }
+            for kk in 0..m.k {
+                let mut rest_lo = T::ZERO;
+                let mut rest_hi = T::ZERO;
+                for (j, &(e_lo, e_hi)) in e.iter().enumerate() {
+                    if j == kk {
+                        continue;
+                    }
+                    rest_lo = (rest_lo + e_lo).down().max_v(T::ZERO);
+                    rest_hi = (rest_hi + e_hi).up();
+                }
+                let (e_lo, e_hi) = e[kk];
+                let den_lo = (e_hi + rest_lo).down();
+                let den_hi = (e_lo + rest_hi).up();
+                let u_hi = if den_lo > T::ZERO {
+                    (e_hi / den_lo).up().min_v(T::ONE)
+                } else {
+                    T::ONE
+                };
+                let u_lo = if den_hi > T::ZERO {
+                    (e_lo / den_hi).down().max_v(T::ZERO)
+                } else {
+                    T::ZERO
+                };
+                u[kk] = (u_lo, u_hi);
+            }
+            let mut sum_sq = T::ZERO;
+            for c in 0..m.n {
+                let mut o_lo = T::ZERO;
+                let mut o_hi = T::ZERO;
+                for (kk, &(u_lo, u_hi)) in u.iter().enumerate() {
+                    let v = protos_at(&m.protos, kk, m.n, c);
+                    let (t_lo, t_hi) = if v >= T::ZERO {
+                        ((u_lo * v).down(), (u_hi * v).up())
+                    } else {
+                        ((u_hi * v).down(), (u_lo * v).up())
+                    };
+                    o_lo = (o_lo + t_lo).down();
+                    o_hi = (o_hi + t_hi).up();
+                }
+                let w = (o_hi - o_lo).up().max_v(T::ZERO);
+                sum_sq = (sum_sq + (w * w).up()).up();
+            }
+            let ibp = sum_sq.sqrt_v().up();
+            let (raw, method) = if ibp <= m.hull {
+                (ibp, CertMethod::IntervalBound)
+            } else {
+                (m.hull, CertMethod::GlobalDiameter)
+            };
+            let delta = ((raw * (T::ONE + T::REL_SLACK)).up() + T::ABS_SLACK).up();
+            BoxCertificate {
+                delta: delta.widen(),
+                method,
+            }
+        }
+    }
+
+    /// Rounds an `f64` draw to the kernel's precision.
+    trait Narrow: CertArith {
+        fn narrow(v: f64) -> Self;
+    }
+
+    impl Narrow for f64 {
+        fn narrow(v: f64) -> f64 {
+            v
+        }
+    }
+
+    impl Narrow for f32 {
+        fn narrow(v: f64) -> f32 {
+            v as f32
+        }
+    }
+
+    /// A seeded `K × N` model whose α is zero on every third feature.
+    fn oracle_model<T: Narrow>(
+        seed: u64,
+        k: usize,
+        n: usize,
+        p: f64,
+        rooted: bool,
+    ) -> CertModel<T> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let protos: Vec<T> = (0..k * n)
+            .map(|_| T::narrow(rng.gen_range(-0.5..1.5)))
+            .collect();
+        let alpha: Vec<T> = (0..n)
+            .map(|c| {
+                T::narrow(if c % 3 == 1 {
+                    0.0
+                } else {
+                    rng.gen_range(0.1..2.0)
+                })
+            })
+            .collect();
+        let hull = hull_diameter(&protos, k, n);
+        CertModel {
+            protos,
+            alpha,
+            k,
+            n,
+            p: T::narrow(p),
+            rooted,
+            hull,
+        }
+    }
+
+    /// Boxes of half-width `eps`: one centred on the first prototype (it
+    /// lies inside), one whose lower corner is the last prototype (it lies
+    /// on the edge), then seeded random centres.
+    fn oracle_boxes<T: Narrow>(m: &CertModel<T>, eps: f64, seed: u64) -> Vec<(Vec<T>, Vec<T>)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let around = |x: Vec<f64>| -> (Vec<T>, Vec<T>) {
+            let lo = x.iter().map(|&v| T::narrow(v - eps).down()).collect();
+            let hi = x.iter().map(|&v| T::narrow(v + eps).up()).collect();
+            (lo, hi)
+        };
+        let first: Vec<f64> = m.protos[..m.n].iter().map(|v| v.widen()).collect();
+        let last = &m.protos[(m.k - 1) * m.n..];
+        let edge = (
+            last.to_vec(),
+            last.iter()
+                .map(|v| T::narrow(v.widen() + 2.0 * eps).up())
+                .collect(),
+        );
+        let mut boxes = vec![around(first), edge];
+        for _ in 0..4 {
+            boxes.push(around((0..m.n).map(|_| rng.gen_range(-0.5..1.5)).collect()));
+        }
+        boxes
+    }
+
+    /// Runs both kernels on every box; returns how many δ differ.
+    fn compare_with_reference<T: Narrow>(
+        m: &CertModel<T>,
+        boxes: &[(Vec<T>, Vec<T>)],
+        label: &str,
+    ) -> usize {
+        let mut d = vec![(T::ZERO, T::ZERO); m.k];
+        let mut e = d.clone();
+        let mut u = d.clone();
+        let mut differ = 0;
+        for (i, (lo, hi)) in boxes.iter().enumerate() {
+            let got = box_delta(m, lo, hi, &mut d, &mut e, &mut u);
+            let want = reference::box_delta(m, lo, hi, &mut d, &mut e, &mut u);
+            assert_eq!(got.method, want.method, "{label} box {i}");
+            if got.delta.to_bits() == want.delta.to_bits() {
+                continue;
+            }
+            differ += 1;
+            assert!(
+                m.p == T::TWO,
+                "{label} box {i}: delta {} differs from the reference {} away from p = 2",
+                got.delta,
+                want.delta
+            );
+            let slack = T::REL_SLACK.widen() * want.delta + T::ABS_SLACK.widen();
+            assert!(
+                (got.delta - want.delta).abs() <= slack,
+                "{label} box {i}: delta {} is more than the terminal slack from {}",
+                got.delta,
+                want.delta
+            );
+        }
+        differ
+    }
+
+    #[test]
+    fn box_kernel_matches_the_reference_kernel() {
+        let mut total = 0;
+        let mut differ = 0;
+        let mut seed = 0u64;
+        for n in [1usize, 3, 17] {
+            for k in [1usize, 3, 16] {
+                for p in [1.0, 1.5, 2.0, 3.0] {
+                    for rooted in [false, true] {
+                        seed += 1;
+                        let m64 = oracle_model::<f64>(seed, k, n, p, rooted);
+                        let m32 = oracle_model::<f32>(seed, k, n, p, rooted);
+                        for (j, eps) in [0.0, 1e-3, 0.01, 0.25, 1e6].into_iter().enumerate() {
+                            let label = format!("n={n} k={k} p={p} rooted={rooted} eps={eps}");
+                            let box_seed = seed * 16 + j as u64;
+                            let b64 = oracle_boxes(&m64, eps, box_seed);
+                            let b32 = oracle_boxes(&m32, eps, box_seed);
+                            let d64 = compare_with_reference(&m64, &b64, &format!("f64 {label}"));
+                            let d32 = compare_with_reference(&m32, &b32, &format!("f32 {label}"));
+                            total += b64.len() + b32.len();
+                            differ += d64 + d32;
+                        }
+                    }
+                }
+            }
+        }
+        println!("certificates that differ from the reference kernel (all at p = 2): {differ} of {total}");
+    }
+
+    #[test]
+    fn certificates_are_pool_invariant_across_many_chunks() {
+        let (k, n) = (16, 17);
+        let mut rng = StdRng::seed_from_u64(29);
+        let protos =
+            Matrix::from_vec(k, n, (0..k * n).map(|_| rng.gen_range(0.0..1.0)).collect()).unwrap();
+        let alpha = (0..n).map(|_| rng.gen_range(0.0..1.5)).collect();
+        let config = IFairConfig {
+            k,
+            ..Default::default()
+        };
+        let model = IFair::from_parts(protos, alpha, vec![false; n], config).unwrap();
+        let lowered = model.to_f32();
+        let rows = 3 * CERTIFY_CHUNK_ROWS + 1;
+        let x = Matrix::from_vec(
+            rows,
+            n,
+            (0..rows * n).map(|_| rng.gen_range(0.0..1.0)).collect(),
+        )
+        .unwrap();
+        let bits = |certs: Vec<Certificate>| -> Vec<(u64, CertMethod)> {
+            certs
+                .iter()
+                .map(|c| (c.delta.to_bits(), c.method))
+                .collect()
+        };
+        for eps in [1e-3, 0.01, 0.25] {
+            let serial = bits(model.certify_rows(&x, eps, None).unwrap());
+            let serial32 = bits(lowered.certify_rows(&x, eps, None).unwrap());
+            for lanes in [1usize, 2, 4] {
+                let pool = par::WorkerPool::new(lanes);
+                let pooled = bits(model.certify_rows(&x, eps, Some(&pool)).unwrap());
+                assert_eq!(pooled, serial, "f64 eps={eps} lanes={lanes}");
+                let pooled32 = bits(lowered.certify_rows(&x, eps, Some(&pool)).unwrap());
+                assert_eq!(pooled32, serial32, "f32 eps={eps} lanes={lanes}");
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! mix both in one server.
 
 use ifair::api::{peek_artifact, shape_error, CertifyError, ConfigError, FitError};
+use ifair::core::certify::eps_box;
 use ifair::core::par::WorkerPool;
 use ifair::core::{Certificate, IFair, Precision};
 use ifair::data::Dataset;
@@ -145,6 +146,20 @@ impl Artifact {
                 Precision::F64 => m.certify_rows(&rows, eps, pool),
                 Precision::F32 => m.to_f32().certify_rows(&rows, eps, pool),
             },
+        }
+    }
+
+    /// Fails exactly when [`Artifact::certify`] would reject `rows` at
+    /// `eps`, by building the same box it certifies: in raw input space
+    /// for a bare model, carried through the scaler stages for a pipeline.
+    /// Handlers run it before dispatch, so a box that overflows is a typed
+    /// 400 for its own request instead of a 500 for the whole coalesced
+    /// micro-batch.
+    pub fn check_certify(&self, rows: &Matrix, eps: f64) -> Result<(), CertifyError> {
+        self.check_width(rows).map_err(CertifyError::Model)?;
+        match self {
+            Artifact::Pipeline(p) => p.certify_box(rows, eps).map(drop),
+            Artifact::Model(_) => eps_box(rows, eps).map(drop),
         }
     }
 

@@ -35,6 +35,7 @@ use crate::server::{
     ServerConfig, DEADLINE_HEADER, READ_TIMEOUT, REPLY_TIMEOUT, RETRY_AFTER_SECS, WRITE_TIMEOUT,
 };
 use crate::supervisor::{recover_lock, supervise, ThreadKind};
+use ifair::linalg::Matrix;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -917,6 +918,32 @@ fn model_request(
             endpoint,
             &format!("group labels must be 0 or 1, got {bad}"),
         ));
+    }
+    // The same holds for row values that are not finite numbers (`1e999`
+    // parses to +inf): transform and predict would answer `null`s, and
+    // certify would fail its whole micro-batch.
+    if rows.iter().flatten().any(|v| !v.is_finite()) {
+        return inline(Reply::error(
+            400,
+            endpoint,
+            "rows must hold finite numbers only",
+        ));
+    }
+    // Finite rows and radius can still give a certify box that overflows,
+    // at `x ± ε` or inside a scaler stage. Build the box certification will
+    // use and reject the request if it is not finite.
+    if let Some(meta) = &certify {
+        let checked = Matrix::from_vec(rows.len(), width, rows.concat())
+            .map_err(|e| e.to_string())
+            .and_then(|x| {
+                model
+                    .artifact
+                    .check_certify(&x, meta.eps)
+                    .map_err(|e| e.to_string())
+            });
+        if let Err(msg) = checked {
+            return inline(Reply::error(400, endpoint, &msg));
+        }
     }
 
     // Admission control: cap concurrent in-flight requests per model so one

@@ -395,7 +395,7 @@ fn certify_endpoint_matches_in_process_and_rejects_bad_input() {
         .collect();
 
     // Unthresholded round trip: deltas bit-identical, no verdicts.
-    let body = format!(
+    let plain = format!(
         "{{\"rows\":{},\"eps\":{eps}}}",
         serde_json::to_string(
             &(0..ds.x.rows())
@@ -404,7 +404,7 @@ fn certify_endpoint_matches_in_process_and_rejects_bad_input() {
         )
         .unwrap()
     );
-    let (status, text) = client::post(addr, "/v1/models/toy/certify", &body).unwrap();
+    let (status, text) = client::post(addr, "/v1/models/toy/certify", &plain).unwrap();
     assert_eq!(status, 200, "{text}");
     let parsed: CertifyResponse = serde_json::from_str(&text).unwrap();
     assert_eq!(parsed.model, "toy");
@@ -490,6 +490,36 @@ fn certify_endpoint_matches_in_process_and_rejects_bad_input() {
     )
     .unwrap();
     assert_eq!(status, 404);
+
+    // Values `check_epsilon` and the shape checks let through are still
+    // client faults, answered 400 before dispatch rather than 500 from the
+    // batcher (which would fail every request batched with them): a radius
+    // whose box overflows inside the scaler stage, a finite row that does
+    // the same, and `1e999` (it parses to +inf) on every endpoint.
+    let faults = [
+        ("certify", format!("{{\"rows\":{rows},\"eps\":1e308}}")),
+        (
+            "certify",
+            "{\"rows\":[[1e308,0.2,1.0]],\"eps\":0.05}".to_string(),
+        ),
+        (
+            "certify",
+            "{\"rows\":[[1e999,0.2,1.0]],\"eps\":0.05}".to_string(),
+        ),
+        ("transform", "{\"rows\":[[0.1,1e999,1.0]]}".to_string()),
+        ("predict", "{\"rows\":[[0.1,0.2,1e999]]}".to_string()),
+    ];
+    for (endpoint, body) in &faults {
+        let (status, text) =
+            client::post(addr, &format!("/v1/models/toy/{endpoint}"), body).unwrap();
+        assert_eq!(status, 400, "{endpoint} {body}: {text}");
+    }
+    // The server keeps certifying normal requests, bit for bit.
+    let (status, text) = client::post(addr, "/v1/models/toy/certify", &plain).unwrap();
+    assert_eq!(status, 200, "{text}");
+    let parsed: CertifyResponse = serde_json::from_str(&text).unwrap();
+    let got: Vec<u64> = parsed.deltas.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, expect, "deltas changed after the rejected requests");
 
     handle.shutdown();
     std::fs::remove_file(&path).ok();

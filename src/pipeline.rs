@@ -42,9 +42,9 @@
 //! ```
 
 use ifair_api::scalers::{MinMaxScalerConfig, StandardScalerConfig};
-use ifair_api::{check_epsilon, ensure, CertifyError, FitError, Predict, Transform};
+use ifair_api::{ensure, CertifyError, FitError, Predict, Transform};
 use ifair_baselines::{Lfr, LfrConfig, SvdConfig, SvdRepresentation};
-use ifair_core::certify::{next_down_f64, next_up_f64};
+use ifair_core::certify::{check_box_finite, eps_box, next_down_f64, next_up_f64};
 use ifair_core::par::WorkerPool;
 use ifair_core::{Certificate, Estimator, IFair, IFairConfig, Precision};
 use ifair_data::{Dataset, MinMaxScaler, StandardScaler};
@@ -344,14 +344,12 @@ impl Pipeline {
 
     /// Certifies every row of `x` (raw input space): a sound bound δ such
     /// that **every** input within the box `[row − ε, row + ε]` maps within
-    /// δ of the row's own representation. The ε-box is threaded through the
-    /// fitted scaler stages exactly (they are monotone per coordinate, so
-    /// transforming the two endpoint matrices bounds the image of the whole
-    /// box; endpoints are then widened outward two representable steps),
-    /// and the iFair stage runs the interval certification kernel of
-    /// [`ifair_core::certify`]. Under [`Precision::F32`] the bound covers
-    /// the single-precision serving transform instead. Certificates are
-    /// bit-identical for every pool size.
+    /// δ of the row's own representation. The box is carried to the iFair
+    /// stage by [`Pipeline::certify_box`], and the iFair stage runs the
+    /// interval certification kernel of [`ifair_core::certify`]. Under
+    /// [`Precision::F32`] the bound covers the single-precision serving
+    /// transform instead. Certificates are bit-identical for every pool
+    /// size.
     pub fn certify_rows(
         &self,
         x: &Matrix,
@@ -359,8 +357,33 @@ impl Pipeline {
         pool: Option<&WorkerPool>,
         precision: Precision,
     ) -> Result<Vec<Certificate>, CertifyError> {
-        check_epsilon(eps)?;
-        let (scalers, model) = self.certifiable_prefix()?;
+        let (lo, hi) = self.certify_box(x, eps)?;
+        let (_, model) = self.certifiable_prefix()?;
+        let boxes = match precision {
+            Precision::F32 => model.to_f32().certify_boxes(&lo, &hi, pool)?,
+            Precision::F64 => model.certify_boxes(&lo, &hi, pool)?,
+        };
+        Ok(boxes
+            .into_iter()
+            .map(|b| Certificate {
+                eps,
+                delta: b.delta,
+                method: b.method,
+            })
+            .collect())
+    }
+
+    /// The box [`Pipeline::certify_rows`] certifies: each row's
+    /// `[row − ε, row + ε]` ([`ifair_core::certify::eps_box`]) threaded
+    /// through the fitted scaler stages into the iFair stage's input space.
+    /// The scalers are monotone per coordinate, so transforming the two
+    /// endpoint matrices bounds the image of the whole box; endpoints are
+    /// then widened outward two representable steps. Fails exactly when
+    /// `certify_rows` would reject the request: an uncertifiable chain, a
+    /// width mismatch, a malformed radius, non-finite rows, or a box with a
+    /// non-finite endpoint after any stage.
+    pub fn certify_box(&self, x: &Matrix, eps: f64) -> Result<(Matrix, Matrix), CertifyError> {
+        let (scalers, _) = self.certifiable_prefix()?;
         if let Some(n) = self.n_input_features() {
             if x.cols() != n {
                 return Err(CertifyError::Model(ifair_api::shape_error(format!(
@@ -369,23 +392,7 @@ impl Pipeline {
                 ))));
             }
         }
-        if x.as_slice().iter().any(|v| !v.is_finite()) {
-            return Err(CertifyError::Model(ifair_api::shape_error(
-                "rows contain non-finite values",
-            )));
-        }
-        let (rows, cols) = x.shape();
-        let mut lo = Matrix::zeros(rows, cols);
-        let mut hi = Matrix::zeros(rows, cols);
-        for ((&v, l), h) in x
-            .as_slice()
-            .iter()
-            .zip(lo.as_mut_slice())
-            .zip(hi.as_mut_slice())
-        {
-            *l = next_down_f64(v - eps);
-            *h = next_up_f64(v + eps);
-        }
+        let (mut lo, mut hi) = eps_box(x, eps)?;
         for stage in scalers {
             match stage {
                 FittedStage::StandardScaler(s) => {
@@ -408,19 +415,9 @@ impl Pipeline {
             for v in hi.as_mut_slice() {
                 *v = next_up_f64(next_up_f64(*v));
             }
+            check_box_finite(&lo, &hi)?;
         }
-        let boxes = match precision {
-            Precision::F32 => model.to_f32().certify_boxes(&lo, &hi, pool)?,
-            Precision::F64 => model.certify_boxes(&lo, &hi, pool)?,
-        };
-        Ok(boxes
-            .into_iter()
-            .map(|b| Certificate {
-                eps,
-                delta: b.delta,
-                method: b.method,
-            })
-            .collect())
+        Ok((lo, hi))
     }
 
     /// Splits the chain into (scaler prefix, terminal iFair representation)
