@@ -82,9 +82,6 @@ pub enum FitError {
         /// Highest version this build supports.
         supported: u32,
     },
-    /// A data-parallel worker process failed (died, closed its pipe, or
-    /// reported an error frame).
-    Worker(String),
 }
 
 impl fmt::Display for FitError {
@@ -99,7 +96,6 @@ impl fmt::Display for FitError {
                 "unsupported schema version {found} (this build supports up to {supported}); \
                  refusing to load a model persisted by an incompatible version"
             ),
-            FitError::Worker(msg) => write!(f, "data-parallel worker failure: {msg}"),
         }
     }
 }

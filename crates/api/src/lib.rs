@@ -41,7 +41,6 @@
 
 pub mod error;
 pub mod faults;
-pub mod ipc;
 pub mod persist;
 pub mod scalers;
 pub mod traits;

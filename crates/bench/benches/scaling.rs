@@ -12,13 +12,12 @@
 //! — the convergence comparison lives in `tests/minibatch.rs`.
 //!
 //! A second, **out-of-core** section converts the generator into sharded
-//! `.ifb` files and trains with the multi-process data-parallel strategy at
-//! M ∈ {1 000 000, 10 000 000} — sizes nothing in this process could
-//! materialize — recording the conversion and fit wall-times plus the
-//! coordinator's peak RSS, which must stay a function of the batch shape,
-//! never of `M`. Requires the `ifair-dp-worker` binary
-//! (`cargo build --release -p ifair-core --bin ifair-dp-worker`) next to
-//! the bench executable's parent directory, or named by `IFAIR_DP_WORKER`.
+//! `.ifb` files and trains from them with `IFair::fit_source` over a
+//! `BinRecordSource` at M ∈ {1 000 000, 10 000 000} — sizes nothing in
+//! this process could materialize — recording the conversion and fit
+//! wall-times plus the process's peak RSS over the fit. That peak covers
+//! the whole training footprint (and whatever the process already held),
+//! and it must stay a function of the batch shape, never of `M`.
 //!
 //! Run with `cargo bench -p ifair-bench --bench scaling`. Environment knobs:
 //!
@@ -29,8 +28,8 @@
 
 use ifair_bench::timing::{bench, peak_rss_bytes, reset_peak_rss, table_header, BenchReport};
 use ifair_core::par::available_threads;
-use ifair_core::{DpDataSpec, FairnessPairs, FitStrategy, IFair, IFairConfig};
-use ifair_data::binfmt::BinDatasetWriter;
+use ifair_core::{FairnessPairs, FitStrategy, IFair, IFairConfig};
+use ifair_data::binfmt::{BinDatasetWriter, BinRecordSource};
 use ifair_data::generators::large::{LargeScale, LargeScaleConfig};
 
 /// Problem sizes, shrunk under `IFAIR_BENCH_SMOKE`.
@@ -127,7 +126,7 @@ fn main() {
     }
 }
 
-/// The data-parallel schedule for the out-of-core points: one epoch of
+/// The mini-batch schedule for the out-of-core points: one epoch of
 /// 65 536-record batches, 4 096 fairness pairs each — per-step cost is a
 /// function of this shape, `M` only sets the step count.
 fn out_of_core_config() -> IFairConfig {
@@ -135,8 +134,7 @@ fn out_of_core_config() -> IFairConfig {
         k: 4,
         n_restarts: 1,
         n_threads: 1,
-        strategy: FitStrategy::DataParallel {
-            workers: 2,
+        strategy: FitStrategy::MiniBatch {
             batch_records: 65_536,
             pairs_per_batch: 4_096,
             epochs: 1,
@@ -147,16 +145,17 @@ fn out_of_core_config() -> IFairConfig {
 }
 
 /// Convert-then-train at sizes nothing in this process materializes:
-/// generator → sharded `.ifb` → 2-worker data-parallel fit, with the
-/// coordinator's peak RSS attached to each fit row. Shards are cut at
-/// 2²⁰ rows so the big points exercise the multi-shard read path.
+/// generator → sharded `.ifb` → mini-batch fit that reads each step's
+/// batch from the shards, with the process's peak RSS over the fit
+/// attached to each fit row. Shards are cut at 2²⁰ rows so the big points exercise the
+/// multi-shard read path.
 fn out_of_core(sizes: &Sizes, report: &mut BenchReport) {
     const SHARD_ROWS: usize = 1 << 20;
     println!(
-        "\n# out-of-core: convert + data-parallel fit, M in {:?}",
+        "\n# out-of-core: convert + mini-batch fit from .ifb shards, M in {:?}",
         sizes.out_of_core_counts
     );
-    table_header("out-of-core data plane (2 workers)");
+    table_header("out-of-core data plane");
     let dir = std::env::temp_dir().join(format!("ifair-scaling-ooc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create shard dir");
 
@@ -186,21 +185,16 @@ fn out_of_core(sizes: &Sizes, report: &mut BenchReport) {
         });
         report.push(&convert);
 
-        let spec = DpDataSpec::Bin {
-            paths: shards
-                .iter()
-                .map(|p| p.to_string_lossy().into_owned())
-                .collect(),
-        };
         reset_peak_rss();
-        let fit = bench(&format!("fit/data_parallel_w2/m{m}"), 0, 1, || {
-            IFair::fit_data_parallel(&spec, &protected, &out_of_core_config())
-                .expect("data-parallel fit")
+        let fit = bench(&format!("fit/minibatch_ifb/m{m}"), 0, 1, || {
+            let mut source = BinRecordSource::open(&shards).expect("open shards");
+            IFair::fit_source(&mut source, &protected, &out_of_core_config())
+                .expect("out-of-core fit")
         })
         .with_peak_rss(peak_rss_bytes());
         if let Some(rss) = fit.peak_rss {
             println!(
-                "    coordinator peak RSS at M = {m}: {:.1} MiB ({} shards on disk)",
+                "    peak RSS over the fit at M = {m}: {:.1} MiB ({} shards on disk)",
                 rss as f64 / (1024.0 * 1024.0),
                 shards.len()
             );

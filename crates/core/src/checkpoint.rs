@@ -135,8 +135,8 @@ impl FitCheckpoint {
         let Some((_, _, epochs, _)) = self.config.strategy.schedule() else {
             return Err(FitError::Config(ifair_api::ConfigError {
                 field: "strategy",
-                message: "checkpoint carries an unbatched strategy — only mini-batch and \
-                          data-parallel fits are checkpointable"
+                message: "checkpoint carries an unbatched strategy — only mini-batch fits \
+                          are checkpointable"
                     .into(),
             }));
         };

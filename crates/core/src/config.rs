@@ -1,7 +1,7 @@
 //! Configuration of the iFair model.
 
 use ifair_api::{ensure, ConfigError};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// How the attribute-weight vector `α` is initialized (§V-B of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -76,7 +76,12 @@ pub enum FairnessPairs {
 /// drawn from an in-memory matrix or streamed from any
 /// [`ifair_data::stream::RecordSource`] (see [`crate::IFair::fit_source`]),
 /// so datasets that do not fit in memory remain trainable.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+///
+/// Decoding also accepts the `{"DataParallel": {"workers": …, …}}` form
+/// that multi-process fits stored: it loads as the `MiniBatch` schedule it
+/// carried, which trains to the same bits, and `workers` is ignored.
+/// Encoding never writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub enum FitStrategy {
     /// Deterministic full-batch L-BFGS (the paper's §III-C loop). The
     /// default, bit-identical to the historical behavior.
@@ -100,25 +105,32 @@ pub enum FitStrategy {
         /// Adam step size.
         learning_rate: f64,
     },
-    /// The mini-batch schedule executed across `workers` OS processes (see
-    /// [`crate::IFair::fit_data_parallel`]): the coordinator runs the exact
-    /// [`FitStrategy::MiniBatch`] loop — same sampler, same Adam step —
-    /// while the per-chunk gradient kernels are computed by worker
-    /// processes and folded back in the fixed global chunk order, so the
-    /// result is bit-identical to the single-process fit at every worker
-    /// count.
-    DataParallel {
-        /// Worker processes (at least 1).
-        workers: usize,
-        /// Records per batch, as in [`FitStrategy::MiniBatch`].
-        batch_records: usize,
-        /// Fairness pairs drawn within each batch.
-        pairs_per_batch: usize,
-        /// Number of passes (in expectation) over the dataset per restart.
-        epochs: usize,
-        /// Adam step size.
-        learning_rate: f64,
-    },
+}
+
+impl Deserialize for FitStrategy {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        match v {
+            Value::String(tag) if tag == "FullBatch" => return Ok(FitStrategy::FullBatch),
+            Value::Object(entries) => {
+                if let [(tag, payload)] = entries.as_slice() {
+                    if tag == "MiniBatch" || tag == "DataParallel" {
+                        let field = |name| payload.field(name);
+                        return Ok(FitStrategy::MiniBatch {
+                            batch_records: Deserialize::from_value(field("batch_records")?)?,
+                            pairs_per_batch: Deserialize::from_value(field("pairs_per_batch")?)?,
+                            epochs: Deserialize::from_value(field("epochs")?)?,
+                            learning_rate: Deserialize::from_value(field("learning_rate")?)?,
+                        });
+                    }
+                }
+            }
+            _ => {}
+        }
+        Err(serde::Error::msg(format!(
+            "invalid FitStrategy variant encoding: {}",
+            v.kind()
+        )))
+    }
 }
 
 impl FitStrategy {
@@ -133,24 +145,9 @@ impl FitStrategy {
         }
     }
 
-    /// A data-parallel strategy with the [`FitStrategy::mini_batch`]
-    /// schedule defaults and the given worker count.
-    pub fn data_parallel(workers: usize) -> FitStrategy {
-        FitStrategy::DataParallel {
-            workers,
-            batch_records: 256,
-            pairs_per_batch: 1024,
-            epochs: 5,
-            learning_rate: 0.05,
-        }
-    }
-
     /// The stochastic schedule `(batch_records, pairs_per_batch, epochs,
-    /// learning_rate)` shared by [`FitStrategy::MiniBatch`] and
-    /// [`FitStrategy::DataParallel`]; `None` for the full-batch strategy.
-    /// The two stochastic variants with equal schedules produce
-    /// bit-identical models — `DataParallel` only changes who computes the
-    /// gradient chunks.
+    /// learning_rate)` of [`FitStrategy::MiniBatch`]; `None` for the
+    /// full-batch strategy.
     pub fn schedule(&self) -> Option<(usize, usize, usize, f64)> {
         match *self {
             FitStrategy::FullBatch => None,
@@ -159,13 +156,6 @@ impl FitStrategy {
                 pairs_per_batch,
                 epochs,
                 learning_rate,
-            }
-            | FitStrategy::DataParallel {
-                batch_records,
-                pairs_per_batch,
-                epochs,
-                learning_rate,
-                ..
             } => Some((batch_records, pairs_per_batch, epochs, learning_rate)),
         }
     }
@@ -310,9 +300,6 @@ impl IFairConfig {
                 format!("must be a positive finite step size, got {learning_rate}"),
             )?;
         }
-        if let FitStrategy::DataParallel { workers, .. } = self.strategy {
-            ensure(workers >= 1, "strategy.workers", "must be at least 1")?;
-        }
         Ok(())
     }
 }
@@ -425,31 +412,49 @@ mod tests {
     }
 
     #[test]
-    fn data_parallel_shares_the_mini_batch_schedule() {
-        let dp = FitStrategy::data_parallel(4);
-        assert_eq!(dp.schedule(), FitStrategy::mini_batch().schedule());
-        assert_eq!(FitStrategy::FullBatch.schedule(), None);
-
-        let base = IFairConfig::default();
-        let with = |strategy| IFairConfig {
-            strategy,
-            ..base.clone()
+    fn legacy_data_parallel_config_loads_as_its_mini_batch_schedule() {
+        // A configuration as multi-process fits stored it.
+        let legacy = r#"{"k":4,"lambda":1.0,"mu":1.0,"p":2.0,"softmax_distance":"PowerSum","init":"NearZeroProtected","freeze_protected_alpha":false,"fairness_distance":"Unweighted","fairness_pairs":"Exact","strategy":{"DataParallel":{"workers":2,"batch_records":4096,"pairs_per_batch":1024,"epochs":3,"learning_rate":0.01}},"alpha_bounds":[0.0,1.0],"n_restarts":1,"max_iters":150,"grad_tol":0.00001,"seed":42,"n_threads":1}"#;
+        let schedule = FitStrategy::MiniBatch {
+            batch_records: 4096,
+            pairs_per_batch: 1024,
+            epochs: 3,
+            learning_rate: 0.01,
         };
-        assert!(with(FitStrategy::data_parallel(2)).validate().is_ok());
-        assert!(with(FitStrategy::data_parallel(0)).validate().is_err());
-        assert!(with(FitStrategy::DataParallel {
-            workers: 2,
-            batch_records: 1,
-            pairs_per_batch: 16,
-            epochs: 1,
-            learning_rate: 0.05,
-        })
-        .validate()
-        .is_err());
+        let config: IFairConfig = serde_json::from_str(legacy).unwrap();
+        assert_eq!(config.strategy, schedule);
+        assert!(config.validate().is_ok());
 
-        let json = serde_json::to_string(&with(FitStrategy::data_parallel(3))).unwrap();
+        let json = serde_json::to_string(&config).unwrap();
+        assert_eq!(
+            json,
+            legacy.replace(r#"{"DataParallel":{"workers":2,"#, r#"{"MiniBatch":{"#)
+        );
         let back: IFairConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.strategy, FitStrategy::data_parallel(3));
+        assert_eq!(back.strategy, schedule);
+    }
+
+    #[test]
+    fn malformed_strategies_are_typed_errors() {
+        for bad in [
+            r#""MiniBatch""#,
+            r#""DataParallel""#,
+            r#"{"FullBatch":{}}"#,
+            r#"{"Bogus":{"epochs":1}}"#,
+            r#"{"MiniBatch":{"batch_records":8,"pairs_per_batch":8,"epochs":1,"learning_rate":0.1},"FullBatch":{}}"#,
+            "7",
+        ] {
+            let err = serde_json::from_str::<FitStrategy>(bad).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("invalid FitStrategy variant encoding"),
+                "{bad}: {err}"
+            );
+        }
+        let missing =
+            r#"{"DataParallel":{"workers":2,"batch_records":8,"epochs":1,"learning_rate":0.1}}"#;
+        let err = serde_json::from_str::<FitStrategy>(missing).unwrap_err();
+        assert!(err.to_string().contains("pairs_per_batch"), "{err}");
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod certify;
 pub mod checkpoint;
 pub mod config;
 pub mod distance;
-pub mod dp;
 pub mod estimator;
 pub mod model;
 pub mod model_f32;
@@ -68,7 +67,6 @@ pub use checkpoint::FitCheckpoint;
 pub use config::{
     FairnessDistance, FairnessPairs, FitStrategy, IFairConfig, InitStrategy, SoftmaxDistance,
 };
-pub use dp::DpDataSpec;
 pub use estimator::IFairBuilder;
 pub use ifair_api::{CertifyError, ConfigError, Estimator, FitError, Predict, Transform};
 pub use ifair_linalg::{Backend, Precision};

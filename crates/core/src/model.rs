@@ -3,7 +3,7 @@
 use crate::checkpoint::FitCheckpoint;
 use crate::config::{FairnessPairs, FitStrategy, IFairConfig, InitStrategy, SoftmaxDistance};
 use crate::distance;
-use crate::objective::{DpExecutor, IFairObjective, MiniBatchObjective};
+use crate::objective::{IFairObjective, MiniBatchObjective};
 use crate::par;
 use ifair_api::{shape_error, FitError};
 use ifair_data::stream::RecordSource;
@@ -202,15 +202,8 @@ impl IFair {
                     epoch_observer,
                     None,
                     |_| Ok(()),
-                    None,
                 )
             }
-            FitStrategy::DataParallel { .. } => Err(FitError::Config(ifair_api::ConfigError {
-                field: "strategy",
-                message: "FitStrategy::DataParallel needs a worker fleet and a shareable data \
-                          spec — use IFair::fit_data_parallel instead of fit()"
-                    .into(),
-            })),
         }
     }
 
@@ -244,25 +237,14 @@ impl IFair {
         epoch_observer: impl FnMut(EpochEvent) -> FitControl,
     ) -> Result<IFair, FitError> {
         config.validate()?;
-        match config.strategy {
-            FitStrategy::MiniBatch { .. } => {}
-            FitStrategy::FullBatch => {
-                return Err(FitError::Config(ifair_api::ConfigError {
-                    field: "strategy",
-                    message: "fitting from a streaming source requires FitStrategy::MiniBatch \
-                              (full-batch L-BFGS needs the whole matrix in memory — materialize \
-                              the source or switch strategies)"
-                        .into(),
-                }));
-            }
-            FitStrategy::DataParallel { .. } => {
-                return Err(FitError::Config(ifair_api::ConfigError {
-                    field: "strategy",
-                    message: "FitStrategy::DataParallel needs a worker fleet and a shareable \
-                              data spec — use IFair::fit_data_parallel instead of fit_source()"
-                        .into(),
-                }));
-            }
+        if config.strategy == FitStrategy::FullBatch {
+            return Err(FitError::Config(ifair_api::ConfigError {
+                field: "strategy",
+                message: "fitting from a streaming source requires FitStrategy::MiniBatch \
+                          (full-batch L-BFGS needs the whole matrix in memory — materialize \
+                          the source or switch strategies)"
+                    .into(),
+            }));
         }
         let (m, n) = (source.n_records(), source.n_features());
         if m == 0 || n == 0 {
@@ -277,7 +259,6 @@ impl IFair {
             epoch_observer,
             None,
             |_| Ok(()),
-            None,
         )
     }
 
@@ -315,7 +296,6 @@ impl IFair {
             |_| FitControl::Continue,
             None,
             checkpoint_sink,
-            None,
         )
     }
 
@@ -341,7 +321,6 @@ impl IFair {
             |_| FitControl::Continue,
             None,
             checkpoint_sink,
-            None,
         )
     }
 
@@ -375,7 +354,6 @@ impl IFair {
             |_| FitControl::Continue,
             Some(checkpoint),
             checkpoint_sink,
-            None,
         )
     }
 
@@ -398,7 +376,6 @@ impl IFair {
             |_| FitControl::Continue,
             Some(checkpoint),
             checkpoint_sink,
-            None,
         )
     }
 }
@@ -416,17 +393,11 @@ fn require_mini_batch(config: &IFairConfig) -> Result<(), FitError> {
                       L-BFGS path keeps unserializable optimizer state — use fit() there)"
                 .into(),
         })),
-        FitStrategy::DataParallel { .. } => Err(FitError::Config(ifair_api::ConfigError {
-            field: "strategy",
-            message: "FitStrategy::DataParallel needs a worker fleet and a shareable data \
-                      spec — use IFair::fit_data_parallel_checkpointed"
-                .into(),
-        })),
     }
 }
 
 /// Shared protected-mask validation of every fit entry point.
-pub(crate) fn check_protected(protected: &[bool], n: usize) -> Result<(), FitError> {
+fn check_protected(protected: &[bool], n: usize) -> Result<(), FitError> {
     if protected.len() != n {
         return Err(shape_error(format!(
             "protected has length {} but X has {n} columns",
@@ -526,8 +497,7 @@ fn fit_full_batch(
 /// outer unit of progress, best of `config.n_restarts` restarts by final
 /// mean batch loss. Per-step cost depends on the batch shape only, so `M`
 /// bounds nothing but the epoch length.
-#[allow(clippy::too_many_arguments)] // private plumbing; every caller is a thin public wrapper
-pub(crate) fn fit_mini_batch(
+fn fit_mini_batch(
     source: &mut dyn RecordSource,
     protected: &[bool],
     config: &IFairConfig,
@@ -535,7 +505,6 @@ pub(crate) fn fit_mini_batch(
     mut epoch_observer: impl FnMut(EpochEvent) -> FitControl,
     resume: Option<&FitCheckpoint>,
     mut checkpoint_sink: impl FnMut(&FitCheckpoint) -> Result<(), FitError>,
-    mut executor: Option<&mut dyn DpExecutor>,
 ) -> Result<IFair, FitError> {
     let Some((_, pairs_per_batch, epochs, learning_rate)) = config.strategy.schedule() else {
         unreachable!("fit_mini_batch requires a batched strategy");
@@ -606,12 +575,7 @@ pub(crate) fn fit_mini_batch(
             let mut epoch_loss = 0.0;
             for _ in 0..steps_per_epoch {
                 objective.resample(source, &mut rng)?;
-                epoch_loss += match executor.as_deref_mut() {
-                    // Data-parallel: fan the chunk sweeps out over the
-                    // worker fleet; same summation tree, same bits.
-                    Some(exec) => objective.value_and_gradient_dp(&theta, &mut grad, exec)?,
-                    None => objective.value_and_gradient(&theta, &mut grad),
-                };
+                epoch_loss += objective.value_and_gradient(&theta, &mut grad);
                 adam_state.step(&mut theta, &grad, &adam);
                 steps_done += 1;
             }

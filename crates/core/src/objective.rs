@@ -56,12 +56,11 @@
 use crate::config::{FairnessDistance, FairnessPairs, IFairConfig, SoftmaxDistance};
 use crate::distance;
 use crate::par;
-use ifair_api::FitError;
 use ifair_data::stream::RecordSource;
 use ifair_data::DataError;
 use ifair_linalg::lanes::{self, LANES};
 use ifair_linalg::Matrix;
-use ifair_optim::{fold, Objective};
+use ifair_optim::Objective;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -649,13 +648,35 @@ impl LossKernel {
             }
             return loss;
         }
-        let chunks = 0..index.chunks.len();
-        let losses =
-            self.fair_grad_chunks(pairs, index, chunks.clone(), alpha, state, scratch, pool);
+        // Pooled: chunk `c` accumulates into `gx` buffer `c` (its touched
+        // rows, then unused space) and `ga` buffer `c`, each zeroed first.
+        let count = index.chunks.len();
+        let jobs: Vec<FairGradJob<'_>> = index
+            .chunks
+            .iter()
+            .enumerate()
+            .zip(scratch.gx.take(count, index.max_rows() * n))
+            .zip(scratch.ga.take(count, n))
+            .map(|(((c, range), gx), ga)| FairGradJob {
+                pairs: range.clone(),
+                gx: &mut gx[..index.chunk_rows(c).len() * n],
+                ga,
+            })
+            .collect();
+        let losses = par::pool_map(pool, jobs, |job| {
+            let FairGradJob {
+                pairs: range,
+                gx,
+                ga,
+            } = job;
+            gx.fill(0.0);
+            ga.fill(0.0);
+            self.fair_grad_chunk(pairs, &index.slots, alpha, state, range, gx, ga)
+        });
         let mut loss = 0.0;
-        for ((l, c), (gx, ga)) in losses
+        for ((c, l), (gx, ga)) in losses
             .into_iter()
-            .zip(chunks)
+            .enumerate()
             .zip(scratch.gx.bufs().zip(scratch.ga.bufs()))
         {
             loss += l;
@@ -665,52 +686,11 @@ impl LossKernel {
         loss
     }
 
-    /// Runs the fairness chunks `chunks` (positions in `index.chunks`) on
-    /// `pool`, chunk `chunks.start + s` into `scratch.gx.bufs[s]` (its
-    /// touched rows, then unused space) and `scratch.ga.bufs[s]`, each
-    /// zeroed first. Returns the chunks' raw losses in chunk order — the
-    /// pooled path of [`LossKernel::fair_loss_and_grad`] and a
-    /// data-parallel worker's share of a step.
-    #[allow(clippy::too_many_arguments)]
-    fn fair_grad_chunks(
-        &self,
-        pairs: &[FairPair],
-        index: &FairRowIndex,
-        chunks: Range<usize>,
-        alpha: &[f64],
-        state: &ForwardState,
-        scratch: &mut FairScratch,
-        pool: Option<&par::WorkerPool>,
-    ) -> Vec<f64> {
-        let n = self.n;
-        let gx_bufs = scratch.gx.take(chunks.len(), index.max_rows() * n);
-        let ga_bufs = scratch.ga.take(chunks.len(), n);
-        let jobs: Vec<FairGradJob<'_>> = chunks
-            .zip(gx_bufs)
-            .zip(ga_bufs)
-            .map(|((c, gx), ga)| FairGradJob {
-                pairs: index.chunks[c].clone(),
-                gx: &mut gx[..index.chunk_rows(c).len() * n],
-                ga,
-            })
-            .collect();
-        par::pool_map(pool, jobs, |job| {
-            let FairGradJob {
-                pairs: pair_range,
-                gx,
-                ga,
-            } = job;
-            gx.fill(0.0);
-            ga.fill(0.0);
-            self.fair_grad_chunk(pairs, &index.slots, alpha, state, pair_range, gx, ga)
-        })
-    }
-
     /// Serial fused loss + gradient over one contiguous chunk of the pair
     /// list, accumulating `∂(μ·L_fair)/∂x̃` for pair `p` into rows
     /// `slots[p]` of the chunk's compact buffer `g_xt`. This is the single
-    /// source of truth for the per-pair math; the pooled and data-parallel
-    /// paths are exactly this function over sub-ranges.
+    /// source of truth for the per-pair math; the pooled path is exactly
+    /// this function over sub-ranges.
     #[allow(clippy::too_many_arguments)]
     fn fair_grad_chunk(
         &self,
@@ -1074,8 +1054,7 @@ impl LossKernel {
 /// The fixed chunk layout of the record index space. Depends only on the
 /// record count, so the summation tree — and therefore every last bit of
 /// the loss and gradient — is invariant under the thread count and the
-/// host's core count. The data-parallel trainer reuses the same layout to
-/// partition backprop chunks across worker processes.
+/// host's core count.
 pub(crate) fn record_chunk_layout(m: usize) -> Vec<Range<usize>> {
     let n_chunks = m.div_ceil(REC_CHUNK_RECORDS).clamp(1, MAX_REC_CHUNKS);
     par::chunk_ranges(m, n_chunks)
@@ -1301,15 +1280,14 @@ pub struct MiniBatchObjective {
 impl MiniBatchObjective {
     /// Builds the batched view for a source of `n_source_records` rows of
     /// width `protected.len()`, with batch shape and hyper-parameters from
-    /// `config` (whose `strategy` must carry a mini-batch schedule —
-    /// [`crate::FitStrategy::MiniBatch`] or [`crate::FitStrategy::DataParallel`]).
+    /// `config` (whose `strategy` must be [`crate::FitStrategy::MiniBatch`]).
     ///
     /// # Panics
     /// Panics if `config.strategy` has no batch schedule (`FullBatch`) —
     /// callers ([`crate::IFair`]) dispatch on the strategy first.
     pub fn new(n_source_records: usize, protected: &[bool], config: &IFairConfig) -> Self {
         let Some((batch_records, pairs_per_batch, _, _)) = config.strategy.schedule() else {
-            panic!("MiniBatchObjective requires a batched strategy (MiniBatch or DataParallel)");
+            panic!("MiniBatchObjective requires the MiniBatch strategy");
         };
         let n = protected.len();
         let b = batch_records.min(n_source_records).max(1);
@@ -1600,342 +1578,6 @@ impl Objective for MiniBatchObjective {
             self.record_pool(),
             fair_pool,
         )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Data-parallel execution
-// ---------------------------------------------------------------------------
-//
-// The multi-process trainer (`crate::dp`) splits one mini-batch step across
-// worker processes along the SAME fixed chunk layouts the in-process pools
-// use. Every worker recomputes the full forward pass locally (per-record and
-// fold-free, hence bit-identical to the coordinator's), evaluates only the
-// fairness / backprop chunks it owns with the same chunk kernels, and ships
-// per-chunk partials back (a fairness partial is the chunk's compact
-// buffer over its touched rows); the coordinator folds them in global chunk
-// order. The summation tree is therefore exactly the serial fold — the fit
-// is bit-identical for every worker count and every thread count inside the
-// workers, by the same argument that covers the thread pools.
-
-/// One fairness chunk's gradient contribution, as shipped from a
-/// data-parallel worker to the coordinator: the chunk's compact buffer,
-/// exactly as the in-process path folds it.
-///
-/// `rows` names the `∂(μ·L_fair)/∂x̃` rows the chunk's pairs touch (each
-/// pair writes rows `i` and `j` and nothing else), ascending, and `gx`
-/// holds their `N` values each, so the transport cost is proportional to
-/// the chunk's pair count instead of `B·N`.
-pub(crate) struct FairPartial {
-    /// Raw `L_fair` pair sum of the chunk (no `μ` factor).
-    pub(crate) loss: f64,
-    /// Batch rows the chunk touches, ascending.
-    pub(crate) rows: Vec<usize>,
-    /// `rows.len() · N` gradient values, row `k` belonging to `rows[k]`.
-    pub(crate) gx: Vec<f64>,
-    /// The chunk's `N`-length `∂/∂α` accumulator (all zeros under the
-    /// unweighted metric, exactly like the in-process chunk buffer).
-    pub(crate) ga: Vec<f64>,
-}
-
-/// One backprop record chunk's gradient contribution, as shipped from a
-/// data-parallel worker.
-pub(crate) struct BackPartial {
-    /// The chunk's `K·N` prototype-gradient accumulator.
-    pub(crate) gv: Vec<f64>,
-    /// The chunk's `N`-length `∂L/∂α` accumulator.
-    pub(crate) ga: Vec<f64>,
-}
-
-/// The coordinator's handle on a fleet of data-parallel workers, as driven
-/// by [`MiniBatchObjective::value_and_gradient_dp`]. The concrete
-/// implementation ([`crate::dp::DpCluster`]) speaks the pipe protocol; the
-/// trait keeps the numerics here testable against an in-process fake.
-pub(crate) trait DpExecutor {
-    /// Broadcasts a step (`θ`, the batch matrix, the batch pairs) to every
-    /// worker, which starts computing its owned fairness chunks.
-    fn start_step(&mut self, theta: &[f64], x: &Matrix, pairs: &[FairPair])
-        -> Result<(), FitError>;
-    /// Collects all fairness partials in global chunk order. `n_chunks` is
-    /// the coordinator's expected total (zero when `μ = 0`, where workers
-    /// still send an empty reply to keep the protocol in lock-step).
-    fn collect_fair(&mut self, n_chunks: usize) -> Result<Vec<FairPartial>, FitError>;
-    /// Sends each worker the `∂L/∂x̃` rows of the records its backprop
-    /// chunks own (a contiguous row band per worker, see
-    /// [`worker_row_band`]).
-    fn start_back(&mut self, g_xt: &[f64]) -> Result<(), FitError>;
-    /// Collects all backprop partials in global chunk order.
-    fn collect_back(&mut self, n_chunks: usize) -> Result<Vec<BackPartial>, FitError>;
-}
-
-/// The contiguous run of a chunk layout's chunk *indices* owned by worker
-/// `worker` of a fleet of `workers` — the single assignment rule both sides
-/// of the protocol derive independently. Empty when there are more workers
-/// than chunks.
-pub(crate) fn owned_chunks(n_chunks: usize, worker: usize, workers: usize) -> Range<usize> {
-    par::chunk_ranges(n_chunks, workers)
-        .get(worker)
-        .cloned()
-        .unwrap_or(0..0)
-}
-
-/// The contiguous batch-row band worker `worker`'s backprop chunks cover
-/// (empty when the worker owns no chunks). The coordinator slices `∂L/∂x̃`
-/// along these bands; the worker validates the slice it receives against
-/// the same rule.
-pub(crate) fn worker_row_band(b: usize, worker: usize, workers: usize) -> Range<usize> {
-    let layout = record_chunk_layout(b);
-    let owned = owned_chunks(layout.len(), worker, workers);
-    if owned.is_empty() {
-        0..0
-    } else {
-        layout[owned.start].start..layout[owned.end - 1].end
-    }
-}
-
-impl MiniBatchObjective {
-    /// The fused loss + gradient of the current batch with the fairness and
-    /// backprop chunk sweeps delegated to data-parallel workers through
-    /// `exec` — the multi-process counterpart of
-    /// [`Objective::value_and_gradient`].
-    ///
-    /// Bit-identical to the in-process path by construction: the
-    /// coordinator runs the same forward pass and utility term locally,
-    /// workers evaluate the same fixed chunk layouts with the same chunk
-    /// kernels on a bit-identical forward state, and the partials are
-    /// folded in global chunk order — the same summation tree as
-    /// `value_and_gradient_into`, independent of the worker count.
-    pub(crate) fn value_and_gradient_dp(
-        &mut self,
-        theta: &[f64],
-        grad: &mut [f64],
-        exec: &mut dyn DpExecutor,
-    ) -> Result<f64, FitError> {
-        let MiniBatchObjective {
-            kern,
-            batch,
-            pool,
-            batch_records,
-            ..
-        } = self;
-        let state = batch.get_mut().expect("batch poisoned");
-        let rec_pool = if *batch_records >= PAR_MIN_RECORDS {
-            pool.get()
-        } else {
-            None
-        };
-        let n = kern.n;
-        let (alpha, v) = kern.unpack(theta);
-
-        // Ship the step first: workers compute their fairness chunks while
-        // the coordinator runs its own forward pass over the same batch.
-        exec.start_step(theta, &state.x, &state.pairs)?;
-
-        let Workspace {
-            state: fwd, g_xt, ..
-        } = &mut state.workspace;
-        kern.forward_into(&state.x, alpha, v, fwd, rec_pool);
-
-        grad.fill(0.0);
-
-        // Utility term and the ∂L/∂x̃ seed — the in-process path's code.
-        let fair_chunks = if kern.mu != 0.0 {
-            fair_chunk_layout(state.pairs.len()).len()
-        } else {
-            0
-        };
-        let util = kern.seed_g_xt(state.x.as_slice(), &fwd.xt, g_xt, fair_chunks > 0);
-
-        // Fairness term: fold the workers' per-chunk buffers into their
-        // touched rows in global chunk order — the in-process fold.
-        let partials = exec.collect_fair(fair_chunks)?;
-        let (g_alpha, _) = grad.split_at_mut(n);
-        let mut fair_sum = 0.0;
-        for part in &partials {
-            fair_sum += part.loss;
-            fold_rows(g_xt, n, &part.rows, &part.gx);
-            fold::add_assign(g_alpha, &part.ga);
-        }
-        let loss = kern.lambda * util + kern.mu * fair_sum;
-
-        // Backprop is sharded over the fixed record chunks; each worker
-        // only needs the ∂L/∂x̃ rows of the records it owns.
-        exec.start_back(g_xt)?;
-        let back_parts = exec.collect_back(record_chunk_layout(*batch_records).len())?;
-        let (g_alpha, g_v) = grad.split_at_mut(n);
-        for part in &back_parts {
-            fold::add_assign(g_v, &part.gv);
-            fold::add_assign(g_alpha, &part.ga);
-        }
-        Ok(loss)
-    }
-}
-
-/// The worker-process half of the data-parallel split: the same
-/// [`LossKernel`] and workspace as an in-process objective, driven frame by
-/// frame by `crate::dp::worker_main`. The worker recomputes the full
-/// forward pass locally and evaluates only the fairness / backprop chunks
-/// it owns, through the same chunk kernels as the in-process path (its own
-/// thread pool engages with the same thresholds, so in-worker threading
-/// never changes a bit either).
-pub(crate) struct DpWorkerKernel {
-    kern: LossKernel,
-    pool: LazyPool,
-    ws: Workspace,
-    /// The rows each fairness chunk of the current step's pairs touches.
-    index: FairRowIndex,
-    /// Batch size `B` (already clamped by the coordinator).
-    b: usize,
-    /// This worker's index in the fleet, fixing chunk ownership.
-    worker: usize,
-    /// Fleet size.
-    workers: usize,
-}
-
-impl DpWorkerKernel {
-    /// Builds the kernel for feature width `n` and coordinator-clamped
-    /// batch size `batch_records`, as worker `worker` of `workers`.
-    pub(crate) fn new(
-        n: usize,
-        batch_records: usize,
-        worker: usize,
-        workers: usize,
-        config: &IFairConfig,
-    ) -> DpWorkerKernel {
-        DpWorkerKernel {
-            kern: LossKernel::from_config(n, config),
-            pool: LazyPool::new(par::resolve_threads(config.n_threads)),
-            ws: Workspace::new(batch_records, n, config.k),
-            index: FairRowIndex::new(),
-            b: batch_records,
-            worker,
-            workers,
-        }
-    }
-
-    /// One EVAL step: full local forward pass over the broadcast batch,
-    /// then this worker's owned fairness chunks, indexed once for the
-    /// step's pair list. Returns the per-chunk partials paired with their
-    /// *global* chunk indices, ascending (empty when `μ = 0` or the worker
-    /// owns no chunks — the forward state is updated regardless, since the
-    /// backprop step needs it).
-    pub(crate) fn eval_step(
-        &mut self,
-        x: &Matrix,
-        pairs: &[FairPair],
-        theta: &[f64],
-    ) -> Vec<(usize, FairPartial)> {
-        let DpWorkerKernel {
-            kern,
-            pool,
-            ws,
-            index,
-            b,
-            worker,
-            workers,
-        } = self;
-        let (alpha, v) = kern.unpack(theta);
-        let n = kern.n;
-        let rec_pool = if *b >= PAR_MIN_RECORDS {
-            pool.get()
-        } else {
-            None
-        };
-        let Workspace { state, fair, .. } = ws;
-        kern.forward_into(x, alpha, v, state, rec_pool);
-        if kern.mu == 0.0 {
-            return Vec::new();
-        }
-        index.rebuild(pairs, *b);
-        let owned = owned_chunks(index.chunks.len(), *worker, *workers);
-        let fair_pool = if pairs.len() >= PAR_MIN_PAIRS {
-            pool.get()
-        } else {
-            None
-        };
-        let losses =
-            kern.fair_grad_chunks(pairs, index, owned.clone(), alpha, state, fair, fair_pool);
-        owned
-            .zip(losses)
-            .zip(fair.gx.bufs().zip(fair.ga.bufs()))
-            .map(|((chunk, loss), (gx, ga))| {
-                let rows = index.chunk_rows(chunk);
-                let partial = FairPartial {
-                    loss,
-                    rows: rows.to_vec(),
-                    gx: gx[..rows.len() * n].to_vec(),
-                    ga: ga.to_vec(),
-                };
-                (chunk, partial)
-            })
-            .collect()
-    }
-
-    /// One BACK step: this worker's owned backprop record chunks, given the
-    /// coordinator's `∂L/∂x̃` values for the row band those chunks cover
-    /// (`rows` holds `band.len() · N` values starting at batch row
-    /// `band.start`, per [`worker_row_band`]). Requires the forward state
-    /// of the preceding [`DpWorkerKernel::eval_step`]. Returns per-chunk
-    /// partials paired with their global chunk indices, ascending.
-    pub(crate) fn back_step(
-        &mut self,
-        x: &Matrix,
-        theta: &[f64],
-        rows: &[f64],
-    ) -> Vec<(usize, BackPartial)> {
-        let DpWorkerKernel {
-            kern,
-            pool,
-            ws,
-            b,
-            worker,
-            workers,
-            ..
-        } = self;
-        let (alpha, v) = kern.unpack(theta);
-        let (n, k) = (kern.n, kern.k);
-        let layout = record_chunk_layout(*b);
-        let owned = owned_chunks(layout.len(), *worker, *workers);
-        let band = worker_row_band(*b, *worker, *workers);
-        assert_eq!(
-            rows.len(),
-            band.len() * n,
-            "backprop row band length mismatch"
-        );
-        let rec_pool = if *b >= PAR_MIN_RECORDS {
-            pool.get()
-        } else {
-            None
-        };
-        let Workspace {
-            state, g_xt, back, ..
-        } = ws;
-        g_xt[band.start * n..band.start * n + rows.len()].copy_from_slice(rows);
-        let g_xt: &[f64] = g_xt;
-        let state: &ForwardState = state;
-        let jobs: Vec<BackpropJob<'_>> = owned
-            .clone()
-            .map(|chunk| layout[chunk].clone())
-            .zip(back.gv.take(owned.len(), k * n))
-            .zip(back.ga.take(owned.len(), n))
-            .zip(back.c.take(owned.len(), k))
-            .map(|(((records, gv), ga), c)| BackpropJob { records, gv, ga, c })
-            .collect();
-        par::pool_map(rec_pool, jobs, |job| {
-            kern.backprop_chunk(x, alpha, v, state, g_xt, job)
-        });
-        owned
-            .zip(back.gv.bufs().zip(back.ga.bufs()))
-            .map(|(chunk, (gv, ga))| {
-                (
-                    chunk,
-                    BackPartial {
-                        gv: gv.to_vec(),
-                        ga: ga.to_vec(),
-                    },
-                )
-            })
-            .collect()
     }
 }
 
@@ -2689,107 +2331,6 @@ mod tests {
         eval_bits(loss, &ws.g_xt, &grad)
     }
 
-    /// An in-process stand-in for the worker fleet: [`DpWorkerKernel`]s
-    /// driven directly, in fleet order.
-    struct FakeFleet {
-        workers: Vec<DpWorkerKernel>,
-        step: Option<(Vec<f64>, Matrix)>,
-        fair: Vec<(usize, FairPartial)>,
-        back: Vec<(usize, BackPartial)>,
-    }
-
-    fn in_chunk_order<T>(parts: Vec<(usize, T)>, n_chunks: usize) -> Vec<T> {
-        assert!(
-            parts.iter().map(|(c, _)| *c).eq(0..n_chunks),
-            "global chunk order"
-        );
-        parts.into_iter().map(|(_, part)| part).collect()
-    }
-
-    impl DpExecutor for FakeFleet {
-        fn start_step(
-            &mut self,
-            theta: &[f64],
-            x: &Matrix,
-            pairs: &[FairPair],
-        ) -> Result<(), FitError> {
-            self.fair = self
-                .workers
-                .iter_mut()
-                .flat_map(|w| w.eval_step(x, pairs, theta))
-                .collect();
-            self.step = Some((theta.to_vec(), x.clone()));
-            Ok(())
-        }
-
-        fn collect_fair(&mut self, n_chunks: usize) -> Result<Vec<FairPartial>, FitError> {
-            Ok(in_chunk_order(std::mem::take(&mut self.fair), n_chunks))
-        }
-
-        fn start_back(&mut self, g_xt: &[f64]) -> Result<(), FitError> {
-            let FakeFleet {
-                workers,
-                step,
-                back,
-                ..
-            } = self;
-            let (theta, x) = step.as_ref().expect("a step is running");
-            let (b, n) = x.shape();
-            let count = workers.len();
-            *back = workers
-                .iter_mut()
-                .enumerate()
-                .flat_map(|(w, kernel)| {
-                    let band = worker_row_band(b, w, count);
-                    kernel.back_step(x, theta, &g_xt[band.start * n..band.end * n])
-                })
-                .collect();
-            Ok(())
-        }
-
-        fn collect_back(&mut self, n_chunks: usize) -> Result<Vec<BackPartial>, FitError> {
-            Ok(in_chunk_order(std::mem::take(&mut self.back), n_chunks))
-        }
-    }
-
-    /// The data-parallel evaluation over a fleet of `workers` fake workers.
-    fn fleet_evaluation(
-        cfg: &IFairConfig,
-        x: &Matrix,
-        pairs: &[FairPair],
-        theta: &[f64],
-        workers: usize,
-    ) -> EvalBits {
-        let (b, n) = x.shape();
-        let cfg = IFairConfig {
-            strategy: FitStrategy::MiniBatch {
-                batch_records: b,
-                pairs_per_batch: pairs.len(),
-                epochs: 1,
-                learning_rate: 0.05,
-            },
-            ..cfg.clone()
-        };
-        let mut obj = MiniBatchObjective::new(b, &vec![false; n], &cfg);
-        let state = obj.batch.get_mut().unwrap();
-        state.x = x.clone();
-        state.pairs = pairs.to_vec();
-        let mut fleet = FakeFleet {
-            workers: (0..workers)
-                .map(|w| DpWorkerKernel::new(n, b, w, workers, &cfg))
-                .collect(),
-            step: None,
-            fair: Vec::new(),
-            back: Vec::new(),
-        };
-        let mut grad = vec![0.0; obj.dim()];
-        let loss = obj
-            .value_and_gradient_dp(theta, &mut grad, &mut fleet)
-            .unwrap();
-        let state = obj.batch.get_mut().unwrap();
-        eval_bits(loss, &state.workspace.g_xt, &grad)
-    }
-
     /// Distinct random pairs over `0..m`, `(i, j)`-sorted like a resampled
     /// mini-batch's, with targets on the first `n − 1` columns.
     fn sorted_random_pairs(x: &Matrix, count: usize, seed: u64) -> Vec<FairPair> {
@@ -2956,10 +2497,6 @@ mod tests {
             for pool in &pools {
                 let got = compact_evaluation(&kern, x, pairs, &theta, &mut index, Some(pool));
                 assert_eq!(got, want, "{label}: {} threads", pool.lanes());
-            }
-            for workers in [1, 3] {
-                let got = fleet_evaluation(cfg, x, pairs, &theta, workers);
-                assert_eq!(got, want, "{label}: {workers} fake workers");
             }
         }
     }

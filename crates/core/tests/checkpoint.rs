@@ -1,8 +1,11 @@
 //! Crash-safe training contract: a mini-batch fit resumed from any
 //! epoch-boundary checkpoint — including one that took a round trip through
-//! its JSON artifact — must be **bit-identical** to the uninterrupted fit,
-//! at every thread count.
+//! its JSON artifact, and one resumed over sharded `.ifb` files — must be
+//! **bit-identical** to the uninterrupted fit, at every thread count.
 
+mod common;
+
+use common::Shards;
 use ifair_core::{FitCheckpoint, FitStrategy, IFair, IFairConfig};
 use ifair_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -152,6 +155,56 @@ fn resume_is_thread_count_invariant() {
             );
         }
     }
+}
+
+#[test]
+fn resume_over_ifb_shards_is_bit_identical() {
+    // The out-of-core recipe: train from `.ifb` shards with per-epoch
+    // checkpoints, then reopen the shards and resume from a mid-fit
+    // checkpoint, as after a crash. Both fits must land on the bits of the
+    // uninterrupted in-memory fit.
+    let (x, protected) = training_data();
+    let config = config(1);
+    let (reference, _) = fit_collecting(&x, &protected, &config);
+    let shards = Shards::write(&x, 50, "resume-shards");
+    assert_eq!(shards.0.len(), 3, "120 rows at 50/shard should be 3 shards");
+
+    let mut checkpoints = Vec::new();
+    let uninterrupted =
+        IFair::fit_source_checkpointed(&mut shards.open(), &protected, &config, |cp| {
+            checkpoints.push(cp.clone());
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(model_bits(&reference), model_bits(&uninterrupted));
+    assert_eq!(checkpoints.len(), 6);
+    // Mid-restart 0 (epoch 2 of 3) and mid-restart 1 (epoch 2 of 3).
+    for idx in [1usize, 4] {
+        let resumed =
+            IFair::resume_source_from_checkpoint(&mut shards.open(), &checkpoints[idx], |_| Ok(()))
+                .unwrap();
+        assert_eq!(
+            model_bits(&reference),
+            model_bits(&resumed),
+            "resume over shards from checkpoint {idx} diverged"
+        );
+    }
+}
+
+#[test]
+fn legacy_data_parallel_checkpoint_resumes_bit_identically() {
+    // Multi-process fits stored their strategy as `DataParallel`: the four
+    // mini-batch schedule fields plus a worker count. Such a checkpoint
+    // resumes as the mini-batch fit it was bit-identical to.
+    let (x, protected) = training_data();
+    let (reference, checkpoints) = fit_collecting(&x, &protected, &config(1));
+    let json = checkpoints[1].to_json().unwrap();
+    let legacy = json.replace(r#"{"MiniBatch":{"#, r#"{"DataParallel":{"workers":2,"#);
+    assert_ne!(json, legacy, "the strategy must have been rewritten");
+    let cp = FitCheckpoint::from_json(&legacy).unwrap();
+    assert_eq!(cp.to_json().unwrap(), json, "re-encodes as MiniBatch");
+    let resumed = IFair::resume_from_checkpoint(&x, &cp, |_| Ok(())).unwrap();
+    assert_eq!(model_bits(&reference), model_bits(&resumed));
 }
 
 #[test]

@@ -1,7 +1,11 @@
 //! Determinism and contract tests of the mini-batch training path:
-//! thread-count invariance of whole fits, streaming-vs-in-memory equality,
-//! epoch observation and early stop, and pair-budget clamp surfacing.
+//! thread-count invariance of whole fits, streaming-vs-in-memory equality
+//! (generator, CSV and sharded `.ifb` sources), epoch observation and early
+//! stop, and pair-budget clamp surfacing.
 
+mod common;
+
+use common::Shards;
 use ifair_core::{FairnessPairs, FitControl, FitStrategy, IFair, IFairConfig};
 use ifair_data::generators::large::{LargeScale, LargeScaleConfig};
 use ifair_data::stream::RecordSource;
@@ -80,8 +84,9 @@ fn same_seed_same_model_across_runs() {
 
 #[test]
 fn streaming_source_matches_in_memory_fit_bitwise() {
-    // Fitting from the on-demand generator must equal fitting the
-    // materialized matrix: the sampler sees the same rows either way.
+    // Fitting from the on-demand generator, or from `.ifb` shards written
+    // from it, must equal fitting the materialized matrix: the sampler sees
+    // the same rows either way.
     let gen = LargeScale::new(LargeScaleConfig {
         n_records: 400,
         n_numeric: 6,
@@ -105,6 +110,53 @@ fn streaming_source_matches_in_memory_fit_bitwise() {
     let materialized = gen.materialize(0, 400).unwrap();
     let in_memory = IFair::fit(&materialized.x, &protected, &config).unwrap();
     assert_eq!(model_bits(&streamed), model_bits(&in_memory));
+
+    let shards = Shards::write(&materialized.x, 150, "streaming-shards");
+    assert_eq!(
+        shards.0.len(),
+        3,
+        "400 rows at 150/shard should be 3 shards"
+    );
+    let from_shards = IFair::fit_source(&mut shards.open(), &protected, &config).unwrap();
+    assert_eq!(model_bits(&from_shards), model_bits(&in_memory));
+}
+
+/// The CI `scale-smoke` parity point: 100 000 generated records written to
+/// 4 `.ifb` shards and trained from them must match the fit over the
+/// generator bit for bit — many batches, every chunk layout at full width,
+/// and reads that cross shard boundaries. `--ignored` opts in.
+#[test]
+#[ignore = "scale smoke: 100k records; run with --ignored (CI scale-smoke job)"]
+fn hundred_thousand_record_ifb_fit_matches_the_generator() {
+    let gen = LargeScale::new(LargeScaleConfig {
+        n_records: 100_000,
+        n_numeric: 6,
+        seed: 3,
+        ..Default::default()
+    });
+    let protected = gen.protected_flags();
+    let config = IFairConfig {
+        k: 4,
+        n_restarts: 1,
+        n_threads: 1,
+        strategy: FitStrategy::MiniBatch {
+            batch_records: 4096,
+            pairs_per_batch: 1024,
+            epochs: 1,
+            learning_rate: 0.05,
+        },
+        ..Default::default()
+    };
+    let mut source = gen.clone();
+    let reference = IFair::fit_source(&mut source, &protected, &config).unwrap();
+    let shards = Shards::write(
+        &gen.materialize(0, 100_000).unwrap().x,
+        25_000,
+        "scale-smoke",
+    );
+    assert_eq!(shards.0.len(), 4);
+    let model = IFair::fit_source(&mut shards.open(), &protected, &config).unwrap();
+    assert_eq!(model_bits(&reference), model_bits(&model));
 }
 
 #[test]

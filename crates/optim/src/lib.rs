@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod adam;
-pub mod fold;
 pub mod lbfgs;
 pub mod line_search;
 pub mod numgrad;

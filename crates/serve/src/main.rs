@@ -395,8 +395,9 @@ fn data_err(context: &str, e: DataError) -> ServeError {
 
 /// Streams a CSV file or the seeded generator into sharded `.ifb` files.
 /// Resident memory is one chunk plus one shard buffer regardless of `M` —
-/// the out-of-core contract that lets `fit_data_parallel` train on datasets
-/// nothing in the process could materialize.
+/// the out-of-core contract that lets `IFair::fit_source` over
+/// `BinRecordSource` train on datasets nothing in the process could
+/// materialize, reading only each step's batch.
 fn convert(args: &[String]) -> Result<(), ServeError> {
     let mut parsed = ConvertArgs {
         csv: None,
