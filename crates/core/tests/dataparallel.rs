@@ -1,66 +1,31 @@
-//! Parity contract of the multi-process data-parallel trainer: a
-//! [`FitStrategy::DataParallel`] fit must be **bit-identical** to the
-//! single-process [`FitStrategy::MiniBatch`] fit with the same schedule —
-//! at every worker count, at every thread count inside the workers, from
-//! every data spec (generator, sharded `.ifb`), and across
-//! checkpoint/resume boundaries. Any divergence means the coordinator's
-//! fold order or the workers' chunk ownership drifted from the in-process
-//! summation tree.
+//! Sharded-data parity: the training set may be split across `.ifb` shard
+//! files, and a multi-restart mini-batch fit that reads its batches from
+//! the shards through
+//! [`BinRecordSource`](ifair_data::binfmt::BinRecordSource) must be
+//! **bit-identical** to the single-threaded fit over the generator that
+//! wrote them, at every thread count. The data plane must be invisible to
+//! the numerics.
 
-use ifair_core::{DpDataSpec, FitCheckpoint, FitStrategy, IFair, IFairConfig};
-use ifair_data::binfmt::BinDatasetWriter;
+mod common;
+
+use common::Shards;
+use ifair_core::{FitStrategy, IFair, IFairConfig};
 use ifair_data::generators::large::{LargeScale, LargeScaleConfig};
-use ifair_data::stream::RecordSource;
-use std::path::PathBuf;
 
-/// Points the coordinator at the Cargo-built worker binary: integration
-/// tests run from `target/*/deps/`, where the sibling-discovery fallback
-/// does not apply.
-fn set_worker_env() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        std::env::set_var("IFAIR_DP_WORKER", env!("CARGO_BIN_EXE_ifair-dp-worker"));
-    });
-}
-
-fn gen_config(n_records: usize) -> LargeScaleConfig {
-    LargeScaleConfig {
-        n_records,
-        n_numeric: 6,
-        seed: 3,
-        ..Default::default()
-    }
-}
-
-/// A schedule big enough to engage multiple fairness and record chunks
-/// (so chunk ownership actually splits across workers) but small enough
-/// to keep the fleet tests fast.
-fn config(strategy: FitStrategy, n_threads: usize) -> IFairConfig {
+/// Seven 64-record batches per epoch over 150-row shards, so batch reads
+/// cross shard boundaries, yet small enough to stay fast.
+fn config(n_threads: usize) -> IFairConfig {
     IFairConfig {
         k: 3,
         n_restarts: 2,
         n_threads,
-        strategy,
+        strategy: FitStrategy::MiniBatch {
+            batch_records: 64,
+            pairs_per_batch: 128,
+            epochs: 2,
+            learning_rate: 0.05,
+        },
         ..Default::default()
-    }
-}
-
-fn mini_batch(epochs: usize) -> FitStrategy {
-    FitStrategy::MiniBatch {
-        batch_records: 64,
-        pairs_per_batch: 128,
-        epochs,
-        learning_rate: 0.05,
-    }
-}
-
-fn data_parallel(workers: usize, epochs: usize) -> FitStrategy {
-    FitStrategy::DataParallel {
-        workers,
-        batch_records: 64,
-        pairs_per_batch: 128,
-        epochs,
-        learning_rate: 0.05,
     }
 }
 
@@ -76,212 +41,33 @@ fn model_bits(model: &IFair) -> (Vec<u64>, Vec<u64>) {
     )
 }
 
-/// The single-process reference fit over the same generator and schedule.
-fn reference_bits(n_records: usize, epochs: usize) -> (Vec<u64>, Vec<u64>) {
-    let gen = LargeScale::new(gen_config(n_records));
-    let protected = gen.protected_flags();
-    let mut source = gen;
-    let model = IFair::fit_source(&mut source, &protected, &config(mini_batch(epochs), 1)).unwrap();
-    model_bits(&model)
-}
-
-#[test]
-fn data_parallel_fit_is_bit_identical_to_single_process_at_every_worker_count() {
-    set_worker_env();
-    let spec = DpDataSpec::LargeScale {
-        config: gen_config(400),
-    };
-    let protected = LargeScale::new(gen_config(400)).protected_flags();
-    let reference = reference_bits(400, 2);
-    for workers in [1usize, 2, 4] {
-        let model =
-            IFair::fit_data_parallel(&spec, &protected, &config(data_parallel(workers, 2), 1))
-                .unwrap();
-        assert_eq!(
-            reference,
-            model_bits(&model),
-            "data-parallel fit diverged at {workers} workers"
-        );
-    }
-}
-
-#[test]
-fn data_parallel_fit_is_thread_count_invariant_inside_workers() {
-    set_worker_env();
-    let spec = DpDataSpec::LargeScale {
-        config: gen_config(400),
-    };
-    let protected = LargeScale::new(gen_config(400)).protected_flags();
-    let reference = reference_bits(400, 2);
-    for threads in [1usize, 2, 4] {
-        let model =
-            IFair::fit_data_parallel(&spec, &protected, &config(data_parallel(2, 2), threads))
-                .unwrap();
-        assert_eq!(
-            reference,
-            model_bits(&model),
-            "data-parallel fit diverged at {threads} threads per worker"
-        );
-    }
-}
-
 #[test]
 fn sharded_binary_dataset_trains_to_the_same_bits_as_the_generator() {
-    set_worker_env();
     // Materialize the generator into three .ifb shards, then train from
-    // the files: the data plane must be invisible to the numerics.
-    let gen = LargeScale::new(gen_config(400));
-    let protected = gen.protected_flags();
-    let n = gen.n_features();
-    let stem = std::env::temp_dir().join(format!("ifair-dp-shards-{}", std::process::id()));
-    let names = (0..n).map(|j| format!("f{j}")).collect();
-    let mut writer = BinDatasetWriter::create(&stem, names, 150).unwrap();
-    let mut row = vec![0.0; n];
-    for i in 0..gen.n_records() {
-        gen.row_into(i, &mut row);
-        writer.push_row(&row).unwrap();
-    }
-    let shards = writer.finish().unwrap();
-    assert_eq!(shards.len(), 3, "400 rows at 150/shard should be 3 shards");
-
-    let spec = DpDataSpec::Bin {
-        paths: shards
-            .iter()
-            .map(|p| p.to_string_lossy().into_owned())
-            .collect(),
-    };
-    let result = IFair::fit_data_parallel(&spec, &protected, &config(data_parallel(2, 2), 1));
-    for p in &shards {
-        std::fs::remove_file(p).ok();
-    }
-    assert_eq!(reference_bits(400, 2), model_bits(&result.unwrap()));
-}
-
-#[test]
-fn checkpointed_data_parallel_fit_resumes_bit_identically() {
-    set_worker_env();
-    let spec = DpDataSpec::LargeScale {
-        config: gen_config(400),
-    };
-    let protected = LargeScale::new(gen_config(400)).protected_flags();
-    let cfg = config(data_parallel(2, 3), 1);
-
-    let mut checkpoints: Vec<FitCheckpoint> = Vec::new();
-    let uninterrupted = IFair::fit_data_parallel_checkpointed(&spec, &protected, &cfg, |cp| {
-        checkpoints.push(cp.clone());
-        Ok(())
-    })
-    .unwrap();
-    // 2 restarts x 3 epochs.
-    assert_eq!(checkpoints.len(), 6);
-
-    // Resume from a mid-fit snapshot (restart 0, epoch 2 of 3) and from a
-    // mid-second-restart one; both must land on the uninterrupted bits.
-    for idx in [1usize, 4] {
-        let resumed =
-            IFair::resume_data_parallel_from_checkpoint(&spec, &checkpoints[idx], |_| Ok(()))
-                .unwrap();
-        assert_eq!(
-            model_bits(&uninterrupted),
-            model_bits(&resumed),
-            "resume from checkpoint {idx} diverged"
-        );
-    }
-
-    // And the data-parallel checkpoints replay in-process too: the loop
-    // state is strategy-agnostic, so a fleetless resume is the ultimate
-    // escape hatch (and one more parity witness).
-    let gen = LargeScale::new(gen_config(400));
-    let mut source = gen;
-    let resumed_local =
-        IFair::resume_source_from_checkpoint(&mut source, &checkpoints[1], |_| Ok(())).unwrap();
-    assert_eq!(model_bits(&uninterrupted), model_bits(&resumed_local));
-}
-
-#[test]
-fn fit_rejects_data_parallel_strategy_with_a_pointer_at_the_right_entry_point() {
-    let gen = LargeScale::new(gen_config(100));
-    let protected = gen.protected_flags();
-    let x = gen.materialize(0, 100).unwrap().x;
-    let err = IFair::fit(&x, &protected, &config(data_parallel(2, 1), 1)).unwrap_err();
-    assert!(
-        err.to_string().contains("fit_data_parallel"),
-        "error should name the data-parallel entry point, got: {err}"
-    );
-    let mut source = LargeScale::new(gen_config(100));
-    assert!(IFair::fit_source(&mut source, &protected, &config(data_parallel(2, 1), 1)).is_err());
-}
-
-#[test]
-fn missing_worker_binary_is_a_typed_worker_error() {
-    // An unlocatable worker must fail fast with a build hint, not hang.
-    let spec = DpDataSpec::LargeScale {
-        config: gen_config(100),
-    };
-    let protected = LargeScale::new(gen_config(100)).protected_flags();
-    let bogus: PathBuf = std::env::temp_dir().join("ifair-no-such-worker-binary");
-    let prev = std::env::var_os("IFAIR_DP_WORKER");
-    std::env::set_var("IFAIR_DP_WORKER", &bogus);
-    let result = IFair::fit_data_parallel(&spec, &protected, &config(data_parallel(2, 1), 1));
-    match prev {
-        Some(v) => std::env::set_var("IFAIR_DP_WORKER", v),
-        None => std::env::remove_var("IFAIR_DP_WORKER"),
-    }
-    assert!(matches!(result, Err(ifair_core::FitError::Worker(_))));
-}
-
-/// The CI `scale-smoke` parity point: 100k generated records, 2 workers,
-/// one epoch — big enough to exercise many batches and the full chunk
-/// fan-out, small enough for a CI runner. `--ignored` opts in.
-#[test]
-#[ignore = "scale smoke: ~100k records; run with --ignored (CI scale-smoke job)"]
-fn hundred_thousand_record_fit_matches_single_process() {
-    set_worker_env();
-    let gc = LargeScaleConfig {
-        n_records: 100_000,
+    // the files and from the generator itself.
+    let gen = LargeScale::new(LargeScaleConfig {
+        n_records: 400,
         n_numeric: 6,
         seed: 3,
         ..Default::default()
-    };
-    let mb = FitStrategy::MiniBatch {
-        batch_records: 4096,
-        pairs_per_batch: 1024,
-        epochs: 1,
-        learning_rate: 0.05,
-    };
-    let dp = FitStrategy::DataParallel {
-        workers: 2,
-        batch_records: 4096,
-        pairs_per_batch: 1024,
-        epochs: 1,
-        learning_rate: 0.05,
-    };
-    let protected = LargeScale::new(gc.clone()).protected_flags();
-    let mut source = LargeScale::new(gc.clone());
-    let reference = IFair::fit_source(
-        &mut source,
-        &protected,
-        &IFairConfig {
-            k: 4,
-            n_restarts: 1,
-            n_threads: 1,
-            strategy: mb,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let spec = DpDataSpec::LargeScale { config: gc };
-    let model = IFair::fit_data_parallel(
-        &spec,
-        &protected,
-        &IFairConfig {
-            k: 4,
-            n_restarts: 1,
-            n_threads: 1,
-            strategy: dp,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(model_bits(&reference), model_bits(&model));
+    });
+    let protected = gen.protected_flags();
+    let shards = Shards::write(&gen.materialize(0, 400).unwrap().x, 150, "dp-shards");
+    assert_eq!(
+        shards.0.len(),
+        3,
+        "400 rows at 150/shard should be 3 shards"
+    );
+
+    let mut source = gen.clone();
+    let reference = IFair::fit_source(&mut source, &protected, &config(1)).unwrap();
+    for threads in [1usize, 2] {
+        let from_shards =
+            IFair::fit_source(&mut shards.open(), &protected, &config(threads)).unwrap();
+        assert_eq!(
+            model_bits(&reference),
+            model_bits(&from_shards),
+            "fit from shards diverged at {threads} threads"
+        );
+    }
 }
