@@ -15,9 +15,11 @@
 //! `.ifb` files and trains from them with `IFair::fit_source` over a
 //! `BinRecordSource` at M ∈ {1 000 000, 10 000 000} — sizes nothing in
 //! this process could materialize — recording the conversion and fit
-//! wall-times plus the process's peak RSS over the fit. That peak covers
-//! the whole training footprint (and whatever the process already held),
-//! and it must stay a function of the batch shape, never of `M`.
+//! wall-times plus the memory each fit adds: the process's peak RSS over
+//! the fit minus its resident set right before it, which leaves out what
+//! earlier rows left behind. That rise covers the whole training
+//! footprint, and it must stay a function of the batch shape, never of
+//! `M`.
 //!
 //! Run with `cargo bench -p ifair-bench --bench scaling`. Environment knobs:
 //!
@@ -26,7 +28,9 @@
 //! * `IFAIR_BENCH_JSON=1` — additionally write `BENCH_scaling.json` for the
 //!   perf-trajectory pipeline.
 
-use ifair_bench::timing::{bench, peak_rss_bytes, reset_peak_rss, table_header, BenchReport};
+use ifair_bench::timing::{
+    bench, current_rss_bytes, peak_rss_bytes, reset_peak_rss, table_header, BenchReport,
+};
 use ifair_core::par::available_threads;
 use ifair_core::{FairnessPairs, FitStrategy, IFair, IFairConfig};
 use ifair_data::binfmt::{BinDatasetWriter, BinRecordSource};
@@ -146,9 +150,9 @@ fn out_of_core_config() -> IFairConfig {
 
 /// Convert-then-train at sizes nothing in this process materializes:
 /// generator → sharded `.ifb` → mini-batch fit that reads each step's
-/// batch from the shards, with the process's peak RSS over the fit
-/// attached to each fit row. Shards are cut at 2²⁰ rows so the big points exercise the
-/// multi-shard read path.
+/// batch from the shards, with the resident memory the fit added attached
+/// to each fit row. Shards are cut at 2²⁰ rows so the big points exercise
+/// the multi-shard read path.
 fn out_of_core(sizes: &Sizes, report: &mut BenchReport) {
     const SHARD_ROWS: usize = 1 << 20;
     println!(
@@ -185,17 +189,24 @@ fn out_of_core(sizes: &Sizes, report: &mut BenchReport) {
         });
         report.push(&convert);
 
+        // The reset lowers the watermark only to what the process holds
+        // now, so the row records the rise over that.
         reset_peak_rss();
+        let before = current_rss_bytes();
         let fit = bench(&format!("fit/minibatch_ifb/m{m}"), 0, 1, || {
             let mut source = BinRecordSource::open(&shards).expect("open shards");
             IFair::fit_source(&mut source, &protected, &out_of_core_config())
                 .expect("out-of-core fit")
-        })
-        .with_peak_rss(peak_rss_bytes());
-        if let Some(rss) = fit.peak_rss {
+        });
+        let peak = peak_rss_bytes();
+        let fit = fit.with_peak_rss(peak.zip(before).map(|(p, b)| p.saturating_sub(b)));
+        if let (Some(peak), Some(before)) = (peak, before) {
+            let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
             println!(
-                "    peak RSS over the fit at M = {m}: {:.1} MiB ({} shards on disk)",
-                rss as f64 / (1024.0 * 1024.0),
+                "    RSS at M = {m}: {:.1} MiB before the fit, {:.1} MiB peak, +{:.1} MiB for the fit ({} shards on disk)",
+                mib(before),
+                mib(peak),
+                mib(peak.saturating_sub(before)),
                 shards.len()
             );
         }

@@ -133,52 +133,18 @@ fn main() {
     // total sweep time divided by total requests — which is what the
     // reactor's keep-alive + pipelined parsing path is built to shrink
     // versus the old connection-per-request chain.
-    let sweep_body = request_body(&ds, 16);
     let reqs_per_conn = if smoke { 3 } else { 40 };
     let reps = if smoke { 2 } else { 7 };
+    let sweep_body = request_body(&ds, 16);
     for &conns in &SWEEP_CONNS {
-        let mut per_request: Vec<Duration> = (0..reps)
-            .map(|_| {
-                let started = Instant::now();
-                let clients: Vec<_> = (0..conns)
-                    .map(|_| {
-                        let body = sweep_body.clone();
-                        std::thread::spawn(move || {
-                            let mut session =
-                                Session::with_timeout(addr, Some(Duration::from_secs(30)));
-                            for _ in 0..reqs_per_conn {
-                                let (status, text) = session
-                                    .post("/v1/models/bench/transform", &body)
-                                    .expect("sweep request succeeds");
-                                assert_eq!(status, 200, "sweep request failed: {text}");
-                            }
-                        })
-                    })
-                    .collect();
-                for c in clients {
-                    c.join().expect("sweep client thread");
-                }
-                started.elapsed() / (conns * reqs_per_conn) as u32
-            })
-            .collect();
-        per_request.sort();
-        let mean = per_request.iter().sum::<Duration>() / per_request.len() as u32;
-        let m = Measurement {
-            name: format!("sweep/transform/b16/c{conns}"),
-            min: per_request[0],
-            median: per_request[per_request.len() / 2],
-            mean,
-            backend: None,
-            precision: None,
-            peak_rss: None,
-        };
-        println!(
-            "  -> sweep {conns} keep-alive conns: median {} per request (~{:.0} rows/sec aggregate)",
-            fmt_duration(m.median),
-            16.0 / (m.median.as_nanos().max(1) as f64 / 1e9)
-        );
-        report.push(&m);
+        report.push(&sweep(addr, &sweep_body, 16, conns, reqs_per_conn, reps));
     }
+    // Single-row bodies over 64 connections: the reactor answers a
+    // single-row request itself when the batcher is idle, so under this
+    // load part of the compute moves onto the reactor thread. This row
+    // tracks what that costs against batching every request.
+    let one_row = request_body(&ds, 1);
+    report.push(&sweep(addr, &one_row, 1, 64, reqs_per_conn, reps));
 
     match report.write_if_enabled() {
         Ok(Some(path)) => println!("\nwrote {path}"),
@@ -187,6 +153,60 @@ fn main() {
     }
     handle.shutdown();
     std::fs::remove_file(&path).ok();
+}
+
+/// Runs `reps` rounds of `conns` keep-alive clients, each posting `body`
+/// (`batch` rows) `reqs_per_conn` times back to back, and reports the
+/// per-request wall time as `sweep/transform/b{batch}/c{conns}`.
+fn sweep(
+    addr: std::net::SocketAddr,
+    body: &str,
+    batch: usize,
+    conns: usize,
+    reqs_per_conn: usize,
+    reps: usize,
+) -> Measurement {
+    let mut per_request: Vec<Duration> = (0..reps)
+        .map(|_| {
+            let started = Instant::now();
+            let clients: Vec<_> = (0..conns)
+                .map(|_| {
+                    let body = body.to_string();
+                    std::thread::spawn(move || {
+                        let mut session =
+                            Session::with_timeout(addr, Some(Duration::from_secs(30)));
+                        for _ in 0..reqs_per_conn {
+                            let (status, text) = session
+                                .post("/v1/models/bench/transform", &body)
+                                .expect("sweep request succeeds");
+                            assert_eq!(status, 200, "sweep request failed: {text}");
+                        }
+                    })
+                })
+                .collect();
+            for c in clients {
+                c.join().expect("sweep client thread");
+            }
+            started.elapsed() / (conns * reqs_per_conn) as u32
+        })
+        .collect();
+    per_request.sort();
+    let mean = per_request.iter().sum::<Duration>() / per_request.len() as u32;
+    let m = Measurement {
+        name: format!("sweep/transform/b{batch}/c{conns}"),
+        min: per_request[0],
+        median: per_request[per_request.len() / 2],
+        mean,
+        backend: None,
+        precision: None,
+        peak_rss: None,
+    };
+    println!(
+        "  -> sweep {conns} keep-alive conns, batch {batch}: median {} per request (~{:.0} rows/sec aggregate)",
+        fmt_duration(m.median),
+        batch as f64 / (m.median.as_nanos().max(1) as f64 / 1e9)
+    );
+    m
 }
 
 /// Deterministic training data: 3 informative features + protected bit.

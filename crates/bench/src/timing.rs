@@ -24,10 +24,11 @@ pub struct Measurement {
     pub backend: Option<String>,
     /// Scalar precision label (`"f64"` / `"f32"`) when relevant.
     pub precision: Option<String>,
-    /// Peak resident set size of *this process* over the measured region,
-    /// in bytes, when the benchmark captured it (see [`reset_peak_rss`] /
-    /// [`peak_rss_bytes`]). The out-of-core rows use it to pin the
-    /// coordinator-RSS-independent-of-M claim.
+    /// Resident memory the measured region added to *this process*, in
+    /// bytes, when the benchmark captured it: the peak over the region
+    /// minus the resident set at its start (see [`reset_peak_rss`],
+    /// [`current_rss_bytes`] and [`peak_rss_bytes`]). The out-of-core rows
+    /// use it to pin the footprint-independent-of-M claim.
     pub peak_rss: Option<u64>,
 }
 
@@ -48,10 +49,12 @@ impl Measurement {
 }
 
 /// Resets the kernel's peak-RSS watermark for this process (Linux:
-/// `echo 5 > /proc/self/clear_refs`), so [`peak_rss_bytes`] afterward
-/// reflects only the region between the two calls. No-op elsewhere (the
-/// watermark then covers the whole process lifetime — still an upper
-/// bound, just a looser one).
+/// `echo 5 > /proc/self/clear_refs`). The reset only lowers the watermark
+/// to the *current* resident set, so [`peak_rss_bytes`] afterward still
+/// counts everything the process already held: subtract
+/// [`current_rss_bytes`], read right after the reset, to get what the
+/// region itself added. No-op elsewhere (the watermark then covers the
+/// whole process lifetime).
 pub fn reset_peak_rss() {
     #[cfg(target_os = "linux")]
     {
@@ -62,19 +65,26 @@ pub fn reset_peak_rss() {
 /// This process's peak resident set size in bytes (Linux: `VmHWM` from
 /// `/proc/self/status`), `None` where unavailable.
 pub fn peak_rss_bytes() -> Option<u64> {
+    status_kib("VmHWM:").map(|kb| kb * 1024)
+}
+
+/// This process's current resident set size in bytes (Linux: `VmRSS` from
+/// `/proc/self/status`), `None` where unavailable.
+pub fn current_rss_bytes() -> Option<u64> {
+    status_kib("VmRSS:").map(|kb| kb * 1024)
+}
+
+/// The kB value of one `/proc/self/status` line.
+fn status_kib(key: &str) -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("VmHWM:") {
-                let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-                return Some(kb * 1024);
-            }
-        }
-        None
+        let rest = status.lines().find_map(|line| line.strip_prefix(key))?;
+        rest.trim().trim_end_matches("kB").trim().parse().ok()
     }
     #[cfg(not(target_os = "linux"))]
     {
+        let _ = key;
         None
     }
 }
@@ -136,8 +146,9 @@ pub struct MeasurementRecord {
     /// Scalar precision label, with the same backward-compatible default.
     #[serde(default)]
     pub precision: Option<String>,
-    /// Peak process RSS in bytes over the measured region, when captured
-    /// (out-of-core rows); `#[serde(default)]` so older JSON still loads.
+    /// Resident bytes the measured region added to the process (its peak
+    /// minus the resident set at its start), when captured (out-of-core
+    /// rows); `#[serde(default)]` so older JSON still loads.
     #[serde(default)]
     pub peak_rss_bytes: Option<u64>,
 }
@@ -305,6 +316,16 @@ mod tests {
             reset_peak_rss();
             assert!(peak_rss_bytes().unwrap_or(0) > 0);
         }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn current_rss_sits_under_the_peak() {
+        reset_peak_rss();
+        let current = current_rss_bytes().expect("VmRSS on Linux");
+        let peak = peak_rss_bytes().expect("VmHWM on Linux");
+        assert!(current > 0);
+        assert!(current <= peak, "VmRSS {current} above VmHWM {peak}");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Micro-batching of concurrent inference requests.
 //!
-//! The reactor never runs model math itself: it enqueues a [`Job`]
-//! carrying a completion callback and goes back to its event loop. A
-//! single batcher thread drains the queue, coalesces whatever is pending
+//! The reactor hands a [`Job`] carrying a completion callback to a single
+//! batcher thread, which drains the queue, coalesces whatever is pending
 //! (up to `max_batch_rows` rows) into one stacked `Matrix` per
 //! `(model, op)` group, runs **one** pooled forward pass on the shared
 //! [`WorkerPool`], and scatters the row ranges back through each job's
@@ -10,14 +9,21 @@
 //! Because every stage of every artifact is row-independent, the stacked
 //! pass is bit-identical to running each request alone — batching is
 //! purely a throughput optimization.
+//!
+//! The one exception to the hand-off: a single-row transform or predict
+//! that arrives while no job is outstanding is computed on the reactor
+//! thread by the same [`compute`] function, without the pool. Every
+//! dispatched job holds a [`Ticket`] on the outstanding-job count the
+//! reactor reads to decide that.
 
 use crate::metrics::Metrics;
 use crate::registry::LoadedModel;
 use crate::supervisor::{recover_lock, supervise, ThreadKind};
 use ifair::core::par::WorkerPool;
 use ifair::linalg::Matrix;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -85,8 +91,46 @@ pub(crate) struct Job {
     pub cancelled: Arc<AtomicBool>,
     /// Completion callback. The reactor passes a closure that posts a
     /// completion message and wakes the poller; tests pass a channel
-    /// sender. Must never block (the batcher thread is shared).
+    /// sender. Must never block (the batcher thread is shared). Call it
+    /// through [`Job::finish`].
     pub reply: Box<dyn FnOnce(Result<JobOutput, JobError>) + Send>,
+    /// This job's share of the outstanding-job count.
+    pub ticket: Ticket,
+}
+
+impl Job {
+    /// Hands the result to the requester. The ticket goes back first, so
+    /// by the time the reply reaches the reactor the count no longer
+    /// includes this job: a client that sends its next request after
+    /// reading the reply finds the batcher idle if nothing else is queued.
+    pub fn finish(self, result: Result<JobOutput, JobError>) {
+        let Job { reply, ticket, .. } = self;
+        drop(ticket);
+        reply(result);
+    }
+}
+
+/// One unit of the outstanding-job count: taken when a job is built,
+/// given back when it is dropped, whatever the path — answered, cancelled,
+/// shed at gather, refused by a full queue, or lost to a batcher panic.
+/// The reactor reads the count to decide whether a request may skip the
+/// batcher; a leaked ticket would switch that path off for good.
+pub(crate) struct Ticket(Arc<AtomicUsize>);
+
+impl Ticket {
+    /// Takes one ticket on `count`. The reactor takes it before `try_send`
+    /// because the batcher may finish the job before `try_send` returns;
+    /// a refused job comes back inside the error and gives it back on drop.
+    pub fn take(count: &Arc<AtomicUsize>) -> Ticket {
+        count.fetch_add(1, Ordering::SeqCst);
+        Ticket(Arc::clone(count))
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Spawns the supervised batcher thread. Returns the job sender (clone one
@@ -144,7 +188,7 @@ fn batcher_loop(rx: &Mutex<Receiver<Job>>, pool: &WorkerPool, max_batch_rows: us
                 continue;
             }
             if job.deadline.is_some_and(|d| now >= d) {
-                (job.reply)(Err(JobError::DeadlineExceeded));
+                job.finish(Err(JobError::DeadlineExceeded));
                 continue;
             }
             live.push(job);
@@ -188,33 +232,56 @@ fn execute_group(pool: &WorkerPool, mut jobs: Vec<Job>) {
         }
     }
 
-    // The handlers validated shape and capability, so failures here are
-    // defensive; a panic must not kill the batcher (it would starve every
-    // future request), so trap it and report a 500 instead.
-    let result = catch_unwind(AssertUnwindSafe(|| {
+    match compute(&model, op, stacked, group, Some(pool)) {
+        Ok(output) => scatter(jobs, &sizes, &output),
+        Err(msg) => {
+            for job in jobs {
+                // A requester that gave up (timed out, disconnected) has
+                // no one listening; skip the dead letter.
+                if job.cancelled.load(Ordering::SeqCst) {
+                    continue;
+                }
+                job.finish(Err(JobError::Failed(msg.clone())));
+            }
+        }
+    }
+}
+
+/// Runs `rows` through `op` on `model`: on `pool` for a batch, on the
+/// calling thread (`None`) for a request the reactor answers itself. Rows
+/// are independent and every stage gives the same bits for any pool size,
+/// so both callers agree bit for bit.
+///
+/// The handlers validated shape and capability, so failures here are
+/// defensive. A panic must not kill the thread it runs on (the batcher
+/// would starve every future request, the reactor every connection), so
+/// it is trapped and reported as an error, which the handler answers 500.
+pub(crate) fn compute(
+    model: &LoadedModel,
+    op: Op,
+    rows: Vec<Vec<f64>>,
+    group: Vec<u8>,
+    pool: Option<&WorkerPool>,
+) -> Result<BatchOutput, String> {
+    catch_unwind(AssertUnwindSafe(|| {
         // Fault site: a scheduled panic here stays inside the trap and
-        // becomes a per-request 500 — the batcher survives.
+        // becomes a per-request 500 — the calling thread survives.
         ifair::api::faults::check_panic("serve.batch.compute");
-        let matrix = Matrix::from_rows(stacked).map_err(|e| e.to_string())?;
+        let matrix = Matrix::from_rows(rows).map_err(|e| e.to_string())?;
         match op {
             Op::Transform => model
                 .artifact
-                .transform(matrix, group, Some(pool), model.precision)
+                .transform(matrix, group, pool, model.precision)
                 .map(BatchOutput::Matrix)
                 .map_err(|e| e.to_string()),
             Op::Predict => model
                 .artifact
-                .predict(matrix, group, Some(pool), model.precision)
+                .predict(matrix, group, pool, model.precision)
                 .map(|(scores, decisions)| BatchOutput::Scored { scores, decisions })
                 .map_err(|e| e.to_string()),
             Op::Certify { eps_bits } => model
                 .artifact
-                .certify(
-                    matrix,
-                    f64::from_bits(eps_bits),
-                    Some(pool),
-                    model.precision,
-                )
+                .certify(matrix, f64::from_bits(eps_bits), pool, model.precision)
                 .map(BatchOutput::Certified)
                 .map_err(|e| e.to_string()),
         }
@@ -226,25 +293,11 @@ fn execute_group(pool: &WorkerPool, mut jobs: Vec<Job>) {
             .or_else(|| payload.downcast_ref::<&str>().copied())
             .unwrap_or("unknown panic");
         Err(format!("internal error during batch execution: {msg}"))
-    });
-
-    match result {
-        Ok(output) => scatter(jobs, &sizes, &output),
-        Err(msg) => {
-            for job in jobs {
-                // A requester that gave up (timed out, disconnected) has
-                // no one listening; skip the dead letter.
-                if job.cancelled.load(Ordering::SeqCst) {
-                    continue;
-                }
-                (job.reply)(Err(JobError::Failed(msg.clone())));
-            }
-        }
-    }
+    })
 }
 
-/// The stacked result of one batch, before scattering.
-enum BatchOutput {
+/// The stacked result of one [`compute`] call, before scattering.
+pub(crate) enum BatchOutput {
     Matrix(Matrix),
     Scored {
         scores: Vec<f64>,
@@ -253,29 +306,29 @@ enum BatchOutput {
     Certified(Vec<ifair::Certificate>),
 }
 
+impl BatchOutput {
+    /// The output of the stacked rows `rows`, as one job's reply.
+    pub(crate) fn slice(&self, rows: Range<usize>) -> JobOutput {
+        match self {
+            BatchOutput::Matrix(m) => JobOutput::Rows(rows.map(|i| m.row(i).to_vec()).collect()),
+            BatchOutput::Scored { scores, decisions } => JobOutput::Scored {
+                scores: scores[rows.clone()].to_vec(),
+                decisions: decisions[rows].to_vec(),
+            },
+            BatchOutput::Certified(certs) => JobOutput::Certified(certs[rows].to_vec()),
+        }
+    }
+}
+
 /// Splits the stacked output back into per-job row ranges, in job order.
 /// Jobs whose handler cancelled them mid-compute are skipped — their slice
 /// of the output has no one left to read it.
 fn scatter(jobs: Vec<Job>, sizes: &[usize], output: &BatchOutput) {
     let mut offset = 0usize;
     for (job, &size) in jobs.into_iter().zip(sizes) {
-        if job.cancelled.load(Ordering::SeqCst) {
-            offset += size;
-            continue;
+        if !job.cancelled.load(Ordering::SeqCst) {
+            job.finish(Ok(output.slice(offset..offset + size)));
         }
-        let out = match output {
-            BatchOutput::Matrix(m) => {
-                JobOutput::Rows((offset..offset + size).map(|i| m.row(i).to_vec()).collect())
-            }
-            BatchOutput::Scored { scores, decisions } => JobOutput::Scored {
-                scores: scores[offset..offset + size].to_vec(),
-                decisions: decisions[offset..offset + size].to_vec(),
-            },
-            BatchOutput::Certified(certs) => {
-                JobOutput::Certified(certs[offset..offset + size].to_vec())
-            }
-        };
-        (job.reply)(Ok(out));
         offset += size;
     }
 }
@@ -286,6 +339,7 @@ mod tests {
     use crate::artifact::Artifact;
     use ifair::core::{IFair, IFairConfig};
     use std::path::PathBuf;
+    use std::sync::mpsc::TrySendError;
 
     fn loaded_model(seed: u64) -> Arc<LoadedModel> {
         let x = Matrix::from_rows(
@@ -329,6 +383,15 @@ mod tests {
         model: &Arc<LoadedModel>,
         rows: Vec<Vec<f64>>,
     ) -> (Job, Receiver<Result<JobOutput, JobError>>) {
+        counted_job(model, rows, &Arc::new(AtomicUsize::new(0)))
+    }
+
+    /// A transform job whose ticket is taken on `count`.
+    fn counted_job(
+        model: &Arc<LoadedModel>,
+        rows: Vec<Vec<f64>>,
+        count: &Arc<AtomicUsize>,
+    ) -> (Job, Receiver<Result<JobOutput, JobError>>) {
         let (reply, rx) = channel_reply();
         (
             Job {
@@ -339,6 +402,7 @@ mod tests {
                 deadline: None,
                 cancelled: Arc::new(AtomicBool::new(false)),
                 reply,
+                ticket: Ticket::take(count),
             },
             rx,
         )
@@ -417,6 +481,7 @@ mod tests {
                 deadline: None,
                 cancelled: Arc::new(AtomicBool::new(false)),
                 reply,
+                ticket: Ticket::take(&Arc::new(AtomicUsize::new(0))),
             }],
         );
         match rx.recv().unwrap().unwrap_err() {
@@ -463,5 +528,96 @@ mod tests {
         drop(tx);
         handle.join().unwrap();
         assert!(rx_orphan.try_recv().is_err(), "orphan got no reply");
+    }
+
+    #[test]
+    fn compute_without_a_pool_matches_the_pooled_batch_bitwise() {
+        let model = loaded_model(17);
+        let pool = WorkerPool::new(2);
+        let rows = vec![
+            vec![0.4, 0.6, 1.0],
+            vec![0.1, 0.2, 0.0],
+            vec![0.8, 0.5, 1.0],
+        ];
+        let (batched, rx) = job(&model, rows.clone());
+        execute_group(&pool, vec![batched]);
+        let Ok(JobOutput::Rows(pooled)) = rx.recv().unwrap() else {
+            panic!("batched transform failed");
+        };
+        for (i, row) in rows.into_iter().enumerate() {
+            let inline = compute(&model, Op::Transform, vec![row], vec![], None)
+                .map(|out| out.slice(0..1))
+                .unwrap();
+            let JobOutput::Rows(got) = inline else {
+                panic!("transform gave {inline:?}");
+            };
+            let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got[0]), bits(&pooled[i]), "row {i}");
+        }
+    }
+
+    #[test]
+    fn the_ticket_goes_back_before_the_reply_runs() {
+        let model = loaded_model(19);
+        let pool = WorkerPool::new(1);
+        let count = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = sync_channel(1);
+        let seen = Arc::clone(&count);
+        let mut job = counted_job(&model, vec![vec![0.3, 0.3, 0.0]], &count).0;
+        job.reply = Box::new(move |result| {
+            let _ = tx.send((seen.load(Ordering::SeqCst), result.is_ok()));
+        });
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        execute_group(&pool, vec![job]);
+        assert_eq!(rx.recv().unwrap(), (0, true), "count seen by the reply");
+    }
+
+    #[test]
+    fn every_way_a_job_ends_gives_its_ticket_back() {
+        let model = loaded_model(23);
+        let count = Arc::new(AtomicUsize::new(0));
+
+        // Refused by a full queue: the job comes back in the error.
+        let (tx, rx) = sync_channel::<Job>(1);
+        tx.try_send(counted_job(&model, vec![vec![0.1; 3]], &count).0)
+            .unwrap();
+        let refused = tx.try_send(counted_job(&model, vec![vec![0.2; 3]], &count).0);
+        assert!(matches!(refused, Err(TrySendError::Full(_))));
+        drop(refused);
+        assert_eq!(count.load(Ordering::SeqCst), 1, "only the queued job");
+        drop((tx, rx));
+        assert_eq!(count.load(Ordering::SeqCst), 0, "queued job dropped");
+
+        // Answered, shed at gather, cancelled, and failed in compute.
+        let pool = Arc::new(WorkerPool::new(1));
+        let metrics = Arc::new(Metrics::new());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (tx, handle) = spawn_batcher(pool, 8, 64, shutdown, metrics);
+        let (answered, rx_answered) = counted_job(&model, vec![vec![0.5; 3]], &count);
+        let (mut shed, rx_shed) = counted_job(&model, vec![vec![0.6; 3]], &count);
+        shed.deadline = Some(Instant::now() - std::time::Duration::from_millis(1));
+        let (cancelled, _rx_cancelled) = counted_job(&model, vec![vec![0.7; 3]], &count);
+        cancelled.cancelled.store(true, Ordering::SeqCst);
+        let (mut failed, rx_failed) = counted_job(&model, vec![vec![0.8; 3]], &count);
+        failed.op = Op::Predict;
+        assert_eq!(count.load(Ordering::SeqCst), 4);
+        for job in [answered, shed, cancelled, failed] {
+            tx.send(job).unwrap();
+        }
+        assert!(matches!(
+            rx_answered.recv().unwrap(),
+            Ok(JobOutput::Rows(_))
+        ));
+        assert!(matches!(
+            rx_shed.recv().unwrap(),
+            Err(JobError::DeadlineExceeded)
+        ));
+        assert!(matches!(
+            rx_failed.recv().unwrap(),
+            Err(JobError::Failed(_))
+        ));
+        drop(tx);
+        handle.join().unwrap();
+        assert_eq!(count.load(Ordering::SeqCst), 0);
     }
 }

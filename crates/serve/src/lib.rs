@@ -20,10 +20,13 @@
 //! pipelining are first-class, with responses always in request order. A
 //! single batcher thread coalesces concurrent requests into one stacked
 //! matrix per `(model, op)` before **one** forward pass on the shared
-//! [`ifair::core::par::WorkerPool`]. Every stage is row-independent, so
-//! micro-batching — and the pool size — never changes a single bit of any
-//! response relative to the in-process `Pipeline::transform` / `predict`
-//! calls.
+//! [`ifair::core::par::WorkerPool`]. A single-row transform or predict
+//! that arrives while the batcher has no job outstanding skips that
+//! hand-off: the reactor computes it itself, through the same function
+//! and without the pool. Every stage is row-independent, so
+//! micro-batching, the inline path and the pool size never change a
+//! single bit of any response relative to the in-process
+//! `Pipeline::transform` / `predict` calls.
 //!
 //! Overload degrades, it never corrupts: per-model admission control
 //! answers `429` with `Retry-After`, a full job queue or connection cap

@@ -29,6 +29,7 @@ pub struct Metrics {
     connections_total: AtomicU64,
     connections_active: AtomicU64,
     keepalive_requests_total: AtomicU64,
+    inline_total: AtomicU64,
     restarts_reactor: AtomicU64,
     restarts_batcher: AtomicU64,
     latencies: Mutex<LatencyRing>,
@@ -145,6 +146,12 @@ impl Metrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one model request computed on the reactor thread, without a
+    /// batcher hand-off.
+    pub fn observe_inline(&self) {
+        self.inline_total.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Counts one request shed with a 503 because its deadline budget was
     /// exhausted before compute started.
     pub fn observe_shed(&self) {
@@ -224,6 +231,11 @@ impl Metrics {
         self.keepalive_requests_total.load(Ordering::Relaxed)
     }
 
+    /// Total model requests answered on the reactor thread.
+    pub fn inline_total(&self) -> u64 {
+        self.inline_total.load(Ordering::Relaxed)
+    }
+
     /// Total requests whose deadline expired mid-wait.
     pub fn deadline_exceeded_total(&self) -> u64 {
         self.deadline_exceeded_total.load(Ordering::Relaxed)
@@ -283,6 +295,11 @@ impl Metrics {
             "ifair_rows_served_total",
             "Data rows returned by transform/predict responses.",
             self.rows_served(),
+        );
+        counter(
+            "ifair_requests_inline_total",
+            "Model requests answered on the reactor thread without a batcher hand-off.",
+            self.inline_total(),
         );
         counter(
             "ifair_request_errors_total",
@@ -502,6 +519,20 @@ mod tests {
         let empty = Metrics::new().render(0, 0, &[]);
         assert!(empty.contains("ifair_certify_requests_total 0"));
         assert!(!empty.contains("ifair_certified_fraction{"));
+    }
+
+    #[test]
+    fn inline_counter_accumulates_and_renders() {
+        let m = Metrics::new();
+        assert!(m
+            .render(0, 0, &[])
+            .contains("ifair_requests_inline_total 0"));
+        m.observe_inline();
+        m.observe_inline();
+        assert_eq!(m.inline_total(), 2);
+        assert!(m
+            .render(0, 0, &[])
+            .contains("ifair_requests_inline_total 2"));
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! connection over a level-triggered [`Poller`].
 //!
 //! ```text
-//!                 ┌────────────── reactor thread ──────────────┐
-//! clients ──TCP──▶ accept ─▶ read ─▶ parse (zero-copy) ─▶ route │
-//!                 │   ▲          per-connection state machine   │
-//!                 │   └── waker ◀── completion queue ◀──┐       │
-//!                 └─────────────────────────────────────┼───────┘
-//!                                                       │
+//!                 ┌──────────────── reactor thread ──────────────────┐
+//! clients ──TCP──▶ accept ─▶ read ─▶ parse (zero-copy) ─▶ route ─┐   │
+//!                 │   ▲          per-connection state machine    │   │
+//!                 │   │  1-row transform/predict, batcher idle:  │   │
+//!                 │   │  compute here, no hand-off ◀─────────────┤   │
+//!                 │   └── waker ◀── completion queue ◀──┐        │   │
+//!                 └─────────────────────────────────────┼────────┼───┘
+//!                                                       │    Job ▼
 //!                                          batcher (1 thread)
 //!                               coalesce jobs ─▶ ONE pooled pass ─▶ scatter
 //! ```
@@ -18,6 +20,15 @@
 //! [`PendingReq`] entries so HTTP/1.1 pipelining answers in request
 //! order even though the batcher completes jobs in any order.
 //!
+//! A single-row transform or predict that arrives while no job is
+//! outstanding (every dispatched [`Job`] holds a [`Ticket`] on that count)
+//! is computed right here, after validation, by the batcher's own
+//! [`compute`] without the pool: the request skips the queue, the batcher
+//! thread, the completion channel and the waker. It stalls the loop for
+//! one single-row pass. Everything else goes to the batcher, so a
+//! single-row request that arrives while a job is outstanding still
+//! coalesces into the next batch.
+//!
 //! Crash safety: the whole [`ReactorState`] lives in a `Mutex` owned by
 //! the supervised closure. The designated panic site (`serve.reactor`)
 //! sits right after `wait`, where no connection is mid-mutation; after a
@@ -26,7 +37,7 @@
 //! socket, and unread completions are still in the channel — no
 //! connection is lost or cross-wired by a reactor restart.
 
-use crate::batch::{Job, JobError, JobOutput, Op};
+use crate::batch::{compute, Job, JobError, JobOutput, Op, Ticket};
 use crate::http::{append_response, parse_request, HttpError, RequestRef};
 use crate::metrics::{Endpoint, Metrics};
 use crate::poll::{drain_waker, fd_of, PollEvent, Poller, Waker, INTEREST_READ, INTEREST_WRITE};
@@ -41,7 +52,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -279,6 +290,9 @@ struct ReactorCtx {
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
     job_tx: SyncSender<Job>,
+    /// Jobs handed to the batcher and not yet answered or dropped (the
+    /// count their [`Ticket`]s hold). At 0 the batcher is idle.
+    outstanding: Arc<AtomicUsize>,
     comp_tx: Sender<Completion>,
     waker: Waker,
     shutdown: Arc<AtomicBool>,
@@ -297,6 +311,7 @@ pub(crate) fn spawn_reactor(
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
     job_tx: SyncSender<Job>,
+    outstanding: Arc<AtomicUsize>,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
 ) -> JoinHandle<()> {
@@ -317,6 +332,7 @@ pub(crate) fn spawn_reactor(
         registry,
         metrics: Arc::clone(&metrics),
         job_tx,
+        outstanding,
         comp_tx,
         waker,
         shutdown: Arc::clone(&shutdown),
@@ -764,8 +780,9 @@ fn reload(registry: &ModelRegistry) -> Reply {
 }
 
 /// Validates a transform/predict/certify request and dispatches it to the
-/// batcher (or answers inline: shed, throttled, queue full, validation
-/// error).
+/// batcher, or answers it inline: shed, throttled, queue full, validation
+/// error, or a single-row transform/predict computed here because the
+/// batcher is idle.
 #[allow(clippy::too_many_arguments)]
 fn model_request(
     ctx: &ReactorCtx,
@@ -954,6 +971,20 @@ fn model_request(
         return inline(Reply::throttled(endpoint));
     }
 
+    // Nothing is outstanding, so nothing could coalesce with this row:
+    // compute it here rather than pay two thread hops. The deadline check
+    // above is current, since nothing waits between it and the compute.
+    if matches!(op, Op::Transform | Op::Predict)
+        && rows.len() == 1
+        && ctx.outstanding.load(Ordering::SeqCst) == 0
+    {
+        ctx.metrics.observe_inline();
+        let result = compute(&model, op, rows, group, None)
+            .map(|output| output.slice(0..1))
+            .map_err(JobError::Failed);
+        return inline(render_completion(ctx, name, endpoint, 1, None, result));
+    }
+
     let n_rows = rows.len();
     let cancelled = Arc::new(AtomicBool::new(false));
     let reply: Box<dyn FnOnce(Result<JobOutput, JobError>) + Send> = {
@@ -972,6 +1003,7 @@ fn model_request(
         deadline,
         cancelled: Arc::clone(&cancelled),
         reply,
+        ticket: Ticket::take(&ctx.outstanding),
     };
     match ctx.job_tx.try_send(job) {
         Ok(()) => {
@@ -1035,7 +1067,7 @@ fn drain_completions(st: &mut ReactorState, ctx: &ReactorCtx) {
     }
 }
 
-/// Builds the wire reply for a batcher result.
+/// Builds the wire reply for a computed result, batched or inline.
 fn render_completion(
     ctx: &ReactorCtx,
     model: &str,
@@ -1044,6 +1076,23 @@ fn render_completion(
     certify: Option<CertifyMeta>,
     result: Result<JobOutput, JobError>,
 ) -> Reply {
+    // Finite rows can still overflow inside the model (every softmax
+    // distance at +inf gives NaN). JSON would carry that as `null`, and a
+    // decision taken from a NaN score means nothing: answer 400 instead.
+    if let Some(row) = result.as_ref().ok().and_then(first_non_finite_row) {
+        return Reply::error(
+            400,
+            endpoint,
+            &format!(
+                "row {row} overflows the model: its {} is not a finite number",
+                if endpoint == Endpoint::Predict {
+                    "score"
+                } else {
+                    "transform"
+                }
+            ),
+        );
+    }
     match result {
         Ok(JobOutput::Rows(rows)) => {
             let body = serde_json::to_string(&TransformResponse {
@@ -1096,6 +1145,20 @@ fn render_completion(
             Reply::shed(endpoint)
         }
         Err(JobError::Failed(msg)) => Reply::error(500, endpoint, &msg),
+    }
+}
+
+/// The first row of a transform or predict output holding a non-finite
+/// value. Certificates are not checked: an overflowing row certifies at
+/// the sound hull-diameter cap.
+fn first_non_finite_row(output: &JobOutput) -> Option<usize> {
+    match output {
+        JobOutput::Rows(rows) => rows.iter().position(|r| r.iter().any(|v| !v.is_finite())),
+        JobOutput::Scored { scores, decisions } => scores
+            .iter()
+            .zip(decisions)
+            .position(|(s, d)| !s.is_finite() || !d.is_finite()),
+        JobOutput::Certified(_) => None,
     }
 }
 

@@ -4,9 +4,10 @@
 //!
 //! ```text
 //! reactor (1 thread, epoll/poll readiness loop)
-//!   accept ─▶ nonblocking read ─▶ zero-copy parse ─▶ validate ─▶ enqueue Job
-//!      ▲                                                           │
-//!      └────────── waker ◀── completion channel ◀───────┐          ▼
+//!   accept ─▶ nonblocking read ─▶ zero-copy parse ─▶ validate ─┬─▶ enqueue Job
+//!      ▲                     1-row transform/predict, batcher  │        │
+//!      │                     idle: compute on this thread ◀────┘        │
+//!      └────────── waker ◀── completion channel ◀───────┐               ▼
 //!                                               batcher (1 thread)
 //!                        coalesce pending jobs ─▶ ONE pooled forward pass
 //!                                               │
@@ -14,11 +15,13 @@
 //! ```
 //!
 //! The reactor multiplexes every connection (keep-alive, pipelining,
-//! per-model admission control — see `reactor.rs`); the batcher owns all
-//! model math. Artifacts hot-reload via `POST /admin/reload`: the
-//! registry swap is atomic and in-flight jobs hold their own `Arc`
-//! snapshot, so no request is ever dropped or served a half-updated
-//! model.
+//! per-model admission control — see `reactor.rs`). The batcher owns the
+//! model math of every request but one kind: a single-row transform or
+//! predict that finds no job outstanding is computed on the reactor
+//! thread, since there is nothing for it to coalesce with. Artifacts
+//! hot-reload via `POST /admin/reload`: the registry swap is atomic and
+//! in-flight jobs hold their own `Arc` snapshot, so no request is ever
+//! dropped or served a half-updated model.
 
 use crate::batch::spawn_batcher;
 use crate::error::ServeError;
@@ -29,7 +32,7 @@ use crate::registry::ModelRegistry;
 use ifair::core::par::{resolve_threads, WorkerPool};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -175,7 +178,10 @@ impl Server {
             Arc::clone(&metrics),
         );
         // The reactor owns the only job sender: when its loop exits, the
-        // batcher's queue disconnects and it drains and exits too.
+        // batcher's queue disconnects and it drains and exits too. Each job
+        // it sends carries a ticket on `outstanding`, which the batcher
+        // gives back when it answers or drops the job.
+        let outstanding = Arc::new(AtomicUsize::new(0));
         let reactor = spawn_reactor(
             listener,
             poller,
@@ -184,6 +190,7 @@ impl Server {
             Arc::clone(&registry),
             Arc::clone(&metrics),
             job_tx,
+            outstanding,
             Arc::clone(&shutdown),
             config,
         );

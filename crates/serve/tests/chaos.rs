@@ -570,3 +570,94 @@ fn reactor_panic_mid_pipeline_keeps_connections_and_order() {
     handle.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+/// A single-row body: with the batcher idle, the reactor computes it.
+const ONE_ROW_BODY: &str = "{\"rows\":[[0.3,0.7,1.0]]}";
+
+/// Posts one single-row transform.
+fn fire_one_row(addr: std::net::SocketAddr) -> Result<(u16, String), std::io::Error> {
+    client::request_with(
+        addr,
+        "POST",
+        "/v1/models/m/transform",
+        &[],
+        Some(ONE_ROW_BODY),
+        Some(Duration::from_secs(10)),
+    )
+}
+
+/// A panic inside the compute of a single-row request, which runs on the
+/// reactor thread, is trapped there: the requester gets a typed 500, no
+/// thread restarts, and the next single-row reply keeps its bits.
+#[test]
+fn inline_compute_panic_is_a_500_not_a_reactor_death() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let path = write_artifact("inline-trap", 3);
+    let handle = boot(&path);
+    let addr = handle.addr();
+    let (status, reference) = fire_one_row(addr).expect("healthy single-row request");
+    assert_eq!(status, 200, "{reference}");
+    let inline_before = handle.metrics().inline_total();
+    assert_eq!(inline_before, 1, "the reference was answered inline");
+
+    faults::install(FaultPlan::new(12).panic_on("serve.batch.compute", &[1]));
+    let (status, body) = fire_one_row(addr).expect("a trapped panic still answers");
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("internal error"), "{body}");
+    assert_eq!(faults::fault_count("serve.batch.compute"), 1);
+    faults::clear();
+    assert_eq!(handle.metrics().inline_total(), inline_before + 1);
+
+    let (status, body) = fire_one_row(addr).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, reference, "post-panic bits diverged");
+    assert_eq!(handle.metrics().inline_total(), inline_before + 2);
+    assert_eq!(handle.metrics().thread_restarts(ThreadKind::Reactor), 0);
+    assert_eq!(handle.metrics().thread_restarts(ThreadKind::Batcher), 0);
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// The batcher dies holding a 2-row job. The job is dropped while the
+/// thread unwinds, and its ticket goes back with it: the next single-row
+/// request finds no job outstanding and is answered inline. A leaked
+/// ticket would switch the inline path off for good.
+#[test]
+fn a_job_lost_with_the_batcher_gives_its_ticket_back() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let path = write_artifact("lost-ticket", 3);
+    let handle = boot(&path);
+    let addr = handle.addr();
+    let (status, reference) = fire_one_row(addr).expect("healthy single-row request");
+    assert_eq!(status, 200, "{reference}");
+
+    faults::install(FaultPlan::new(13).panic_on("serve.batcher", &[1]));
+    // Nobody answers the lost job, so the client gives up quickly.
+    let _ = client::request_with(
+        addr,
+        "POST",
+        "/v1/models/m/transform",
+        &[],
+        Some(BODY),
+        Some(Duration::from_millis(300)),
+    );
+    assert_eq!(
+        faults::fault_count("serve.batcher"),
+        1,
+        "batcher never died"
+    );
+    faults::clear();
+    assert_eq!(await_restarts(&handle, ThreadKind::Batcher, 1), 1);
+
+    let inline_before = handle.metrics().inline_total();
+    let (status, body) = fire_one_row(addr).expect("post-kill single-row request");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, reference, "post-kill bits diverged");
+    assert_eq!(
+        handle.metrics().inline_total(),
+        inline_before + 1,
+        "the lost job kept its ticket"
+    );
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}

@@ -283,3 +283,56 @@ fn admission_cap_throttles_pipelined_burst_with_429() {
     handle.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+/// One connection pipelines requests that take different paths: a
+/// single-row transform the reactor may answer itself, a 2-row certify
+/// that always goes to the batcher, then a single-row predict and
+/// transform that go wherever the batcher's state sends them. The
+/// replies arrive in request order, each byte-identical to the same
+/// request sent alone on its own connection.
+#[test]
+fn pipelined_mix_of_inline_and_batched_requests_answers_in_order() {
+    let path = write_artifact("mixed");
+    let handle = boot(&path, ServerConfig::default());
+    let addr = handle.addr();
+
+    let requests = [
+        ("transform", "{\"rows\":[[0.11,0.5,1.0]]}"),
+        (
+            "certify",
+            "{\"rows\":[[0.3,0.7,1.0],[0.6,0.4,0.0]],\"eps\":0.05}",
+        ),
+        ("predict", "{\"rows\":[[0.21,0.6,0.0]]}"),
+        ("transform", "{\"rows\":[[0.31,0.7,1.0]]}"),
+    ];
+    let references: Vec<String> = requests
+        .iter()
+        .map(|(op, body)| {
+            let (status, reply) = client::post(addr, &format!("/v1/models/m/{op}"), body).unwrap();
+            assert_eq!(status, 200, "{op}: {reply}");
+            reply
+        })
+        .collect();
+    assert_ne!(references[0], references[3], "payloads not distinct");
+
+    let mut wire = String::new();
+    for (op, body) in &requests {
+        wire.push_str(&format!(
+            "POST /v1/models/m/{op} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ));
+    }
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(wire.as_bytes()).unwrap();
+    let got = read_responses(&mut stream, requests.len());
+    for (i, (status, body, keep_alive)) in got.iter().enumerate() {
+        assert_eq!(*status, 200, "response {i}: {body}");
+        assert_eq!(body, &references[i], "response {i} out of order");
+        assert!(*keep_alive, "response {i} closed a keep-alive connection");
+    }
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}

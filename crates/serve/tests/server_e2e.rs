@@ -612,3 +612,181 @@ fn concurrent_distinct_payloads_never_cross_wires() {
     handle.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+/// In-process reference for single rows: the transform bits, the score
+/// bits and the decisions of `row`, over the dataset view the server
+/// fabricates.
+fn expect_row(pipeline: &Pipeline, row: &[f64]) -> (Vec<u64>, u64, f64) {
+    let view = request_dataset(Matrix::from_rows(vec![row.to_vec()]).unwrap(), vec![]).unwrap();
+    let repr = pipeline.transform(&view).unwrap();
+    let score = pipeline.predict_proba(&view).unwrap()[0];
+    let decision = pipeline.predict(&view).unwrap()[0];
+    (
+        repr.row(0).iter().map(|v| v.to_bits()).collect(),
+        score.to_bits(),
+        decision,
+    )
+}
+
+/// Posts `row` alone to transform (`predict == false`) or predict and
+/// checks the reply bit for bit against [`expect_row`].
+fn check_single_row(addr: std::net::SocketAddr, pipeline: &Pipeline, row: &[f64], predict: bool) {
+    let (repr, score, decision) = expect_row(pipeline, row);
+    let body = format!("{{\"rows\":[{}]}}", serde_json::to_string(row).unwrap());
+    if predict {
+        let (status, text) = client::post(addr, "/v1/models/m/predict", &body).unwrap();
+        assert_eq!(status, 200, "{text}");
+        let parsed: PredictResponse = serde_json::from_str(&text).unwrap();
+        assert_eq!(parsed.scores.len(), 1);
+        assert_eq!(parsed.scores[0].to_bits(), score, "predict {row:?}");
+        assert_eq!(parsed.decisions, vec![decision], "predict {row:?}");
+    } else {
+        let (status, text) = client::post(addr, "/v1/models/m/transform", &body).unwrap();
+        assert_eq!(status, 200, "{text}");
+        let parsed: TransformResponse = serde_json::from_str(&text).unwrap();
+        assert_eq!(bits(&parsed.rows), vec![repr], "transform {row:?}");
+    }
+}
+
+/// A single-row transform or predict that finds the batcher idle is
+/// answered on the reactor thread, bit-identical to the in-process call.
+/// The batched request first proves that a job gives its ticket back
+/// before its reply is posted: otherwise the next request, sent only
+/// after that reply was read, would find the count above zero.
+#[test]
+fn single_row_requests_are_answered_inline_when_the_batcher_is_idle() {
+    let ds = toy_dataset(24);
+    let pipeline = quick_pipeline(&ds, 21);
+    let path = temp_file("inline");
+    std::fs::write(&path, pipeline.to_json().unwrap()).unwrap();
+    let handle = boot(&path, "m");
+    let addr = handle.addr();
+
+    let two = Matrix::from_rows(vec![ds.x.row(0).to_vec(), ds.x.row(1).to_vec()]).unwrap();
+    let (status, text) = client::post(addr, "/v1/models/m/transform", &rows_body(&two)).unwrap();
+    assert_eq!(status, 200, "{text}");
+    assert_eq!(
+        handle.metrics().inline_total(),
+        0,
+        "a 2-row request batches"
+    );
+
+    for i in 0..20 {
+        check_single_row(addr, &pipeline, ds.x.row(i + 2), i % 2 == 1);
+    }
+    assert_eq!(
+        handle.metrics().inline_total(),
+        20,
+        "every sequential single-row request is answered inline"
+    );
+    let (_, metrics) = client::get(addr, "/metrics").unwrap();
+    assert!(
+        metrics.contains("ifair_requests_inline_total 20"),
+        "{metrics}"
+    );
+
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Concurrent single-row clients meet both paths: a request that finds a
+/// job outstanding goes to the batcher, one that finds it idle is
+/// computed inline. Every reply is bit-identical and reaches its sender.
+#[test]
+fn concurrent_single_row_requests_stay_bit_identical_on_both_paths() {
+    let ds = toy_dataset(24);
+    let pipeline = quick_pipeline(&ds, 23);
+    let path = temp_file("inline-conc");
+    std::fs::write(&path, pipeline.to_json().unwrap()).unwrap();
+    let handle = boot(&path, "m");
+    let addr = handle.addr();
+
+    let clients: Vec<_> = (0..8u32)
+        .map(|c| {
+            let pipeline = pipeline.clone();
+            std::thread::spawn(move || {
+                for round in 0..10u32 {
+                    let v = f64::from(c) * 0.1 + f64::from(round) * 0.01;
+                    let row = [v, 1.0 - v / 2.0, f64::from(round % 2)];
+                    check_single_row(addr, &pipeline, &row, (c + round) % 2 == 1);
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread must not panic");
+    }
+    assert_eq!(handle.metrics().rows_served(), 80);
+    assert!(handle.metrics().inline_total() <= 80);
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A finite row can still overflow inside the model: every softmax
+/// distance reaches +inf and the transform turns NaN. Both endpoints
+/// answer 400 naming the row, on the inline path (one row) and on the
+/// batched path (two rows), and later requests are unaffected.
+#[test]
+fn rows_that_overflow_the_model_are_a_typed_400_not_nulls() {
+    let ds = toy_dataset(24);
+    let pipeline = quick_pipeline(&ds, 25);
+    let path = temp_file("overflow");
+    std::fs::write(&path, pipeline.to_json().unwrap()).unwrap();
+    let handle = boot(&path, "m");
+    let addr = handle.addr();
+
+    let huge = vec![1e300, 1e300, 1.0];
+    let view = request_dataset(Matrix::from_rows(vec![huge.clone()]).unwrap(), vec![]).unwrap();
+    assert!(
+        pipeline
+            .transform(&view)
+            .unwrap()
+            .as_slice()
+            .iter()
+            .any(|v| !v.is_finite()),
+        "the probe row must overflow in process"
+    );
+
+    let clean = ds.x.row(3).to_vec();
+    let one = format!("{{\"rows\":[{}]}}", serde_json::to_string(&huge).unwrap());
+    let two = format!(
+        "{{\"rows\":[{},{}]}}",
+        serde_json::to_string(&clean).unwrap(),
+        serde_json::to_string(&huge).unwrap()
+    );
+    for endpoint in ["transform", "predict"] {
+        let what = if endpoint == "predict" {
+            "score"
+        } else {
+            "transform"
+        };
+        let inline_before = handle.metrics().inline_total();
+        let (status, text) = client::post(addr, &format!("/v1/models/m/{endpoint}"), &one).unwrap();
+        assert_eq!(status, 400, "{endpoint}: {text}");
+        assert!(text.contains("row 0 overflows the model"), "{text}");
+        assert!(text.contains(what), "{text}");
+        assert_eq!(handle.metrics().inline_total(), inline_before + 1);
+
+        let (status, text) = client::post(addr, &format!("/v1/models/m/{endpoint}"), &two).unwrap();
+        assert_eq!(status, 400, "{endpoint}: {text}");
+        assert!(text.contains("row 1 overflows the model"), "{text}");
+        assert_eq!(handle.metrics().inline_total(), inline_before + 1);
+    }
+
+    // Clean requests afterwards, single-row and batched, keep their bits.
+    check_single_row(addr, &pipeline, &clean, false);
+    check_single_row(addr, &pipeline, &clean, true);
+    let (status, text) = client::post(addr, "/v1/models/m/transform", &rows_body(&ds.x)).unwrap();
+    assert_eq!(status, 200, "{text}");
+    let parsed: TransformResponse = serde_json::from_str(&text).unwrap();
+    let expect = pipeline
+        .transform(&request_dataset(ds.x.clone(), vec![]).unwrap())
+        .unwrap();
+    assert_eq!(
+        bits(&parsed.rows),
+        bits(&expect.row_iter().map(<[f64]>::to_vec).collect::<Vec<_>>())
+    );
+
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
